@@ -6,7 +6,9 @@ library version); identical command lines reproduce byte-identical
 output apart from the timestamp, which --no-timestamp suppresses.
 
 Exit codes: 0 pass, 1 statistical test failed, 2 usage error,
-3 resource/IO error.
+3 resource/IO error. Non-finite, non-integer or out-of-range input is a
+usage error: the library functions reject it with ValueError
+(:mod:`quasiortho.validate`), and the CLI repeats none of their checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from . import packing as pk
 from . import decoherence as dc
 from .limits import ResourceLimitError
 from .rng import RngStream
+from .validate import integer
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -56,11 +58,7 @@ def _resolve_seed(args) -> int:
 def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
     # the normalized parameter set, not raw argv: output paths and
     # formatting flags must not break byte-identical reproducibility
-    prov = {
-        "command": command,
-        "version": __version__,
-        "threads": args.threads,
-    }
+    prov = {"command": command, "version": __version__}
     if seed is not None:
         prov["seed"] = seed
     prov.update({f"param_{k}": v for k, v in sorted(params.items())})
@@ -93,12 +91,7 @@ def _write(args, prov: dict, summary: dict, columns: list, rows: list) -> None:
 
 
 def cmd_overlap_dist(args) -> int:
-    if args.d < 2:
-        raise ValueError("overlap law needs --d >= 2")
-    if args.trials < ov.KS_MIN_SAMPLES:
-        raise ValueError(f"--trials must be >= {ov.KS_MIN_SAMPLES} for the KS test")
-    if args.bins < 1:
-        raise ValueError("--bins must be >= 1")
+    integer("--bins", args.bins, 1)
     seed = _resolve_seed(args)
     sample = ov.sample_overlaps(args.d, args.trials, RngStream(seed))
     report = ov.ks_test(sample, alpha=args.alpha)
@@ -177,8 +170,6 @@ def cmd_packing_bound(args) -> int:
         rows = [[d_label, args.qubits, args.eps, m, log_m]]
         summary = {"log_lower_bound": log_m}
     else:
-        if args.d < 1:
-            raise ValueError("--d must be >= 1")
         log_m = pk.log_lower_bound(args.d, args.eps)
         try:
             m = pk.lower_bound(args.d, args.eps)
@@ -194,10 +185,6 @@ def cmd_packing_bound(args) -> int:
 
 
 def cmd_packing_build(args) -> int:
-    if args.d < 1:
-        raise ValueError("--d must be >= 1")
-    if args.M < 1:
-        raise ValueError("--M must be >= 1")
     seed = _resolve_seed(args)
     rng = RngStream(seed)
     prov = _provenance(args, "packing build", seed, {
@@ -256,19 +243,17 @@ def _build_model(args) -> dc.MeasurementModel:
     dynamics = {"integrable": "integrable-product"}.get(args.dynamics,
                                                         args.dynamics)
     thetas = None
-    if dynamics == "integrable-product":
-        if not args.theta:
-            raise ValueError("integrable dynamics needs --theta angles")
+    if dynamics == "integrable-product" and args.theta:
         thetas = tuple(args.theta)
     k = args.k
     if k is None:
         k = len(thetas) if thetas else (len(args.coeffs) if args.coeffs else 2)
-    if k < 2:
-        raise ValueError("--k must be >= 2")
     if args.coeffs:
         coeffs = np.asarray(args.coeffs, dtype=complex)
     else:
-        coeffs = np.full(k, 1.0 / math.sqrt(k), dtype=complex)
+        # uniform amplitudes; for k < 1 the vector is empty and the model
+        # reports the pointer count
+        coeffs = np.ones(max(k, 0), dtype=complex) / math.sqrt(max(k, 1))
     return dc.MeasurementModel(
         pointer_count=k,
         coefficients=coeffs,
@@ -282,8 +267,6 @@ def _build_model(args) -> dc.MeasurementModel:
 def cmd_decohere(args) -> int:
     if not args.config and args.n is None:
         raise ValueError("give --n (environment qubits) or --config")
-    if args.trials < 30:
-        raise ValueError("--trials must be >= 30")
     model = _build_model(args)
     seed = _resolve_seed(args)
     result = dc.suppression_experiment(model, args.trials, RngStream(seed))
@@ -307,8 +290,6 @@ def cmd_decohere(args) -> int:
 
 
 def cmd_deff(args) -> int:
-    if args.width <= 0:
-        raise ValueError("--width must be positive")
     try:
         spectrum = ed.Spectrum.from_file(args.spectrum)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -341,10 +322,6 @@ def cmd_deff(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1,
-                        help="parallelism bound (recorded; results are "
-                             "independent of it)")
     parser.add_argument("--no-timestamp", action="store_true")
     if with_seed:
         parser.add_argument("--seed", type=int, default=None,
@@ -440,9 +417,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

@@ -34,6 +34,7 @@ import numpy as np
 from . import limits
 from .rng import RngStream
 from .states import StateVector, Unitary, apply_local, basis_state, haar_state, haar_unitary
+from .validate import integer, real
 
 __all__ = [
     "DYNAMICS",
@@ -78,23 +79,21 @@ class MeasurementModel:
     env_initial: StateVector | None = None
 
     def __post_init__(self):
-        if self.pointer_count < 2:
-            raise ValueError("pointer_count must be >= 2")
+        k = integer("pointer_count", self.pointer_count, 2)
+        object.__setattr__(self, "pointer_count", k)
         coeffs = np.ascontiguousarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.pointer_count,):
-            raise ValueError(
-                f"need {self.pointer_count} coefficients, got shape {coeffs.shape}"
-            )
+        if coeffs.shape != (k,):
+            raise ValueError(f"need {k} coefficients, got shape {coeffs.shape}")
         norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm_sq - 1.0) > COEFF_NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= COEFF_NORM_ATOL:
             raise ValueError(
                 f"coefficients not normalized: sum |c|^2 = {norm_sq!r}"
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
-        if self.env_qubits < 1:
-            raise ValueError("env_qubits must be >= 1")
+        object.__setattr__(self, "env_qubits",
+                           integer("env_qubits", self.env_qubits, 1))
         limits.check_state_dim(self.env_dim)
 
         if self.dynamics not in DYNAMICS:
@@ -104,9 +103,8 @@ class MeasurementModel:
         if self.dynamics == "chaotic-circuit":
             if self.env_qubits < 2:
                 raise ValueError("chaotic-circuit needs env_qubits >= 2")
-            depth = 4 * self.env_qubits if self.depth is None else int(self.depth)
-            if depth < 1:
-                raise ValueError("circuit depth must be >= 1")
+            depth = 4 * self.env_qubits if self.depth is None else \
+                integer("circuit depth", self.depth, 1)
             object.__setattr__(self, "depth", depth)
         elif self.depth is not None:
             raise ValueError("depth only applies to chaotic-circuit dynamics")
@@ -114,14 +112,11 @@ class MeasurementModel:
         if self.dynamics == "integrable-product":
             if self.thetas is None:
                 raise ValueError("integrable-product dynamics needs thetas")
-            thetas = tuple(float(t) for t in self.thetas)
-            if len(thetas) != self.pointer_count:
+            thetas = tuple(real("theta", t) for t in self.thetas)
+            if len(thetas) != k:
                 raise ValueError(
-                    f"need one angle per pointer value ({self.pointer_count}), "
-                    f"got {len(thetas)}"
+                    f"need one angle per pointer value ({k}), got {len(thetas)}"
                 )
-            if not all(math.isfinite(t) for t in thetas):
-                raise ValueError("all angles must be finite")
             object.__setattr__(self, "thetas", thetas)
         elif self.thetas is not None:
             raise ValueError("thetas only apply to integrable-product dynamics")
@@ -158,9 +153,9 @@ class MeasurementModel:
             env_initial = StateVector(amps)
         thetas = cfg.get("thetas")
         return cls(
-            pointer_count=int(cfg["pointer_count"]),
+            pointer_count=cfg["pointer_count"],
             coefficients=coeffs,
-            env_qubits=int(cfg["env_qubits"]),
+            env_qubits=cfg["env_qubits"],
             dynamics=str(cfg["dynamics"]),
             depth=cfg.get("depth"),
             thetas=None if thetas is None else tuple(thetas),
@@ -276,11 +271,11 @@ class ReducedDensityMatrix:
         rho = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
-        if float(np.max(np.abs(rho - rho.conj().T))) > RHO_ATOL:
+        if not np.max(np.abs(rho - rho.conj().T)) <= RHO_ATOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(complex(np.trace(rho)).real - 1.0) > RHO_ATOL:
+        if not abs(np.trace(rho).real - 1.0) <= RHO_ATOL:
             raise ValueError(f"trace {complex(np.trace(rho))!r} != 1")
-        if float(np.min(np.linalg.eigvalsh(rho))) < -RHO_EIG_ATOL:
+        if not np.min(np.linalg.eigvalsh(rho)) >= -RHO_EIG_ATOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         rho.setflags(write=False)
         object.__setattr__(self, "matrix", rho)
@@ -326,8 +321,7 @@ def typicality_ratio(branches: BranchSet, d_eff: float) -> float:
     """
     if branches.count < 2:
         raise ValueError("typicality needs at least two branches")
-    if d_eff < 1:
-        raise ValueError("d_eff must be >= 1")
+    d_eff = real("d_eff", d_eff, 1.0)
     return float(np.mean(_pair_overlaps(branches))) * d_eff
 
 
@@ -436,8 +430,7 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     Trial t draws from ``rng.substream(t)``; the result therefore does
     not depend on execution order and can be partitioned across workers.
     """
-    if trials < 30:
-        raise ValueError("trials must be >= 30")
+    trials = integer("trials", trials, 30)
     k = model.pointer_count
     n_pairs = k * (k - 1) // 2
     pair_overlaps = np.empty((trials, n_pairs), dtype=float)
@@ -459,6 +452,5 @@ def integrable_overlap_exact(n: int, delta_theta: float) -> float:
     Two branches rotated from |0...0> by angles differing by
     ``delta_theta`` overlap at exactly cos^(2n)(delta_theta / 2).
     """
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    return math.cos(delta_theta / 2.0) ** (2 * n)
+    n = integer("n", n, 1)
+    return math.cos(real("delta_theta", delta_theta) / 2.0) ** (2 * n)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import StateVector, Unitary
+from .validate import integer, real
 
 __all__ = [
     "Spectrum",
@@ -68,8 +69,8 @@ def microcanonical_dim(spectrum: Spectrum, energy: float, width: float) -> int:
     Half-open windows partition the spectrum without double counting;
     an empty window counts 0.
     """
-    if width <= 0:
-        raise ValueError("window width must be positive")
+    energy = real("energy", energy)
+    width = real("window width", width, 0.0, lo_open=True)
     lo = int(np.searchsorted(spectrum.energies, energy, side="left"))
     hi = int(np.searchsorted(spectrum.energies, energy + width, side="left"))
     return hi - lo
@@ -77,9 +78,7 @@ def microcanonical_dim(spectrum: Spectrum, energy: float, width: float) -> int:
 
 def entropy_of(d_eff: float) -> float:
     """Dimensionless entropy S = ln(d_eff), requiring d_eff >= 1."""
-    if d_eff < 1:
-        raise ValueError(f"d_eff must be >= 1, got {d_eff!r}")
-    return math.log(d_eff)
+    return math.log(real("d_eff", d_eff, 1.0))
 
 
 def ipr_dimension(state: StateVector, basis: Unitary | None = None) -> float:
@@ -105,8 +104,7 @@ def ipr_dimension(state: StateVector, basis: Unitary | None = None) -> float:
 def suppression_scale(d_eff: float) -> tuple[float, float]:
     """Predicted (mean squared overlap, overlap amplitude) for typical
     records: (1/d_eff, 1/sqrt(d_eff)), i.e. (e^-S, e^-(S/2))."""
-    if d_eff < 1:
-        raise ValueError(f"d_eff must be >= 1, got {d_eff!r}")
+    d_eff = real("d_eff", d_eff, 1.0)
     return 1.0 / d_eff, 1.0 / math.sqrt(d_eff)
 
 
@@ -148,8 +146,7 @@ def noninteracting_qubit_spectrum(n: int) -> Spectrum:
     The level at energy m has degeneracy C(n, m), which makes this the
     standard combinatorial testbed for shell counting.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = integer("n", n, 1)
     counts = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         counts = np.concatenate([counts, counts + 1])

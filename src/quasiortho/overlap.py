@@ -22,6 +22,7 @@ from scipy.stats import norm as _norm
 from . import limits
 from .rng import RngStream
 from .states import complex_gaussians
+from .validate import integer, real
 
 __all__ = [
     "OverlapDistribution",
@@ -45,21 +46,15 @@ __all__ = [
 KS_MIN_SAMPLES = 100
 
 
-def _check_dim(d: int) -> int:
-    if int(d) != d or d < 2:
-        raise ValueError(f"overlap law requires integer d >= 2, got {d!r}")
-    return int(d)
-
-
 def pdf(d: int, x):
     """Density (d-1)(1-x)^(d-2) of the squared overlap at dimension d.
 
     Accepts scalars or arrays; x must lie in [0, 1]. Evaluated as
     exp(log(d-1) + (d-2) log1p(-x)) for numerical stability at large d.
     """
-    d = _check_dim(d)
+    d = integer("d", d, 2)
     xs = np.asarray(x, dtype=float)
-    if np.any((xs < 0.0) | (xs > 1.0)):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
     at_one = xs == 1.0
     safe = np.where(at_one, 0.0, xs)
@@ -74,9 +69,9 @@ def pdf(d: int, x):
 
 def survival(d: int, eps):
     """Exact survival P(X >= eps) = (1-eps)^(d-1) for eps in [0, 1]."""
-    d = _check_dim(d)
+    d = integer("d", d, 2)
     es = np.asarray(eps, dtype=float)
-    if np.any((es < 0.0) | (es > 1.0)):
+    if not np.all((es >= 0.0) & (es <= 1.0)):
         raise ValueError("eps must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         out = np.exp((d - 1) * np.log1p(-es))
@@ -91,9 +86,7 @@ def cdf(d: int, x):
 
 def mean(d: int) -> float:
     """Haar mean of the squared overlap: exactly 1/d."""
-    if int(d) != d or d < 1:
-        raise ValueError(f"mean requires integer d >= 1, got {d!r}")
-    return 1.0 / d
+    return 1.0 / integer("d", d, 1)
 
 
 def levy_tail_bound(d: int, delta: float, lipschitz: float) -> float:
@@ -103,12 +96,9 @@ def levy_tail_bound(d: int, delta: float, lipschitz: float) -> float:
     bound can exceed 1 (vacuous); it is returned as-is so callers can
     flag vacuity (see :func:`is_vacuous`) rather than hide it.
     """
-    if int(d) != d or d < 1:
-        raise ValueError(f"bound requires integer d >= 1, got {d!r}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if lipschitz <= 0:
-        raise ValueError("Lipschitz constant must be positive")
+    d = integer("d", d, 1)
+    delta = real("delta", delta, 0.0, lo_open=True)
+    lipschitz = real("lipschitz", lipschitz, 0.0, lo_open=True)
     exponent = -(2 * d - 1) * delta ** 2 / (9 * math.pi ** 3 * lipschitz ** 2)
     return 2.0 * math.exp(exponent)
 
@@ -121,7 +111,7 @@ def overlap_tail_bound(d: int, delta: float) -> float:
 
 def is_vacuous(bound: float) -> bool:
     """True when a probability bound carries no information (>= 1)."""
-    return bound >= 1.0
+    return real("bound", bound, 0.0) >= 1.0
 
 
 def two_sided_exact_tail(d: int, delta: float) -> float:
@@ -130,9 +120,8 @@ def two_sided_exact_tail(d: int, delta: float) -> float:
     Upper term: survival at 1/d + delta (0 once that exceeds 1). Lower
     term: cdf at 1/d - delta, which vanishes for delta >= 1/d.
     """
-    d = _check_dim(d)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    d = integer("d", d, 2)
+    delta = real("delta", delta, 0.0, lo_open=True)
     m = 1.0 / d
     upper = survival(d, min(1.0, m + delta))
     lower = cdf(d, max(0.0, m - delta)) if delta < m else 0.0
@@ -146,7 +135,7 @@ class OverlapDistribution:
     dim: int
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        object.__setattr__(self, "dim", integer("dim", self.dim, 2))
 
     def pdf(self, x):
         return pdf(self.dim, x)
@@ -174,7 +163,9 @@ class TestReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "passed", self.statistic <= self.threshold)
+        statistic = real("statistic", self.statistic)
+        threshold = real("threshold", self.threshold)
+        object.__setattr__(self, "passed", statistic <= threshold)
 
     def as_dict(self) -> dict:
         return {
@@ -195,13 +186,16 @@ class EmpiricalSample:
     seed_record: tuple[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", integer("dim", self.dim, 2))
         vals = np.ascontiguousarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a non-empty 1-D sequence")
-        if np.any((vals < 0.0) | (vals > 1.0)):
-            raise ValueError("overlap values must lie in [0, 1]")
-        if np.any(np.diff(vals) < 0):
+        # a NaN fails every comparison, so it cannot pass either check;
+        # once sorted, the end points bound all values
+        if not np.all(np.diff(vals) >= 0):
             raise ValueError("values must be sorted ascending")
+        if not (vals[0] >= 0.0 and vals[-1] <= 1.0):
+            raise ValueError("overlap values must lie in [0, 1]")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -243,9 +237,8 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     so the values depend only on ``(seed, stream_index)`` and not on the
     internal chunking.
     """
-    d = _check_dim(d)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    d = integer("d", d, 2)
+    n_samples = integer("n_samples", n_samples, 1)
     # draws are chunked, so only the output size needs capping
     limits.check_sample_count(n_samples)
     chunk_rows = max(1, (1 << 22) // d)
@@ -267,8 +260,7 @@ def ks_critical_value(alpha: float) -> float:
 
     c(0.01) = 1.6276; the one-sample threshold at size N is c(alpha)/sqrt(N).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = real("alpha", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
     return math.sqrt(0.5 * math.log(2.0 / alpha))
 
 
@@ -283,12 +275,12 @@ def ks_test(sample: EmpiricalSample, alpha: float = 0.01) -> TestReport:
         raise ValueError(
             f"KS test needs at least {KS_MIN_SAMPLES} samples, got {n}"
         )
+    threshold = ks_critical_value(alpha) / math.sqrt(n)
     f = cdf(sample.dim, sample.values)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))
     statistic = max(d_plus, d_minus)
-    threshold = ks_critical_value(alpha) / math.sqrt(n)
     return TestReport(
         statistic=statistic,
         threshold=threshold,
@@ -299,10 +291,9 @@ def ks_test(sample: EmpiricalSample, alpha: float = 0.01) -> TestReport:
 
 def wilson_interval(k: int, n: int, alpha: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion at level alpha."""
-    if not 0 <= k <= n or n < 1:
-        raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    n = integer("n", n, 1)
+    k = integer("k", k, 0, n)
+    alpha = real("alpha", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
     z = float(_norm.ppf(1.0 - alpha / 2.0))
     p_hat = k / n
     denom = 1.0 + z ** 2 / n

@@ -21,6 +21,7 @@ from . import limits
 from .overlap import TestReport
 from .rng import RngStream
 from .states import StateVector, complex_gaussians
+from .validate import integer, real
 
 __all__ = [
     "QuasiOrthogonalFamily",
@@ -42,17 +43,10 @@ _MAX_EXP_ARG = 700.0
 MAX_QUBITS_ANALYTIC = 1000
 
 
-def _check_eps(eps: float) -> float:
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps!r}")
-    return float(eps)
-
-
 def log_lower_bound(d: int, eps: float) -> float:
     """Natural log of the random-coding bound: ((d-1)/2)(-log(1-eps)) - 1/2."""
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    eps = _check_eps(eps)
+    d = integer("d", d, 1)
+    eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     return 0.5 * (d - 1) * (-math.log1p(-eps)) - 0.5
 
 
@@ -74,13 +68,8 @@ def lower_bound(d: int, eps: float) -> int:
 
 def qubit_capacity_log(n: int, eps: float) -> float:
     """log of the bound at d = 2**n; grows proportionally to 2**n."""
-    if int(n) != n or n < 0:
-        raise ValueError(f"qubit count must be a non-negative integer, got {n!r}")
-    if n > MAX_QUBITS_ANALYTIC:
-        raise ValueError(
-            f"qubit count {n} above analytic cap {MAX_QUBITS_ANALYTIC}"
-        )
-    eps = _check_eps(eps)
+    n = integer("qubit count", n, 0, MAX_QUBITS_ANALYTIC)
+    eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     return 0.5 * (2.0 ** n - 1.0) * (-math.log1p(-eps)) - 0.5
 
 
@@ -89,9 +78,9 @@ def union_bound_failure(d: int, eps: float, m: int) -> float:
 
     May exceed 1 (vacuous) and is reported as-is.
     """
-    if int(m) != m or m < 2:
-        raise ValueError(f"M must be an integer >= 2, got {m!r}")
-    eps = _check_eps(eps)
+    d = integer("d", d, 1)
+    eps = real("eps", eps, 0.0, 1.0, hi_open=True)
+    m = integer("M", m, 2)
     log_p = math.log(0.5) + 2.0 * math.log(m) + (d - 1) * math.log1p(-eps)
     return math.exp(log_p)
 
@@ -111,6 +100,8 @@ class QuasiOrthogonalFamily:
     max_pairwise: float | None = None
 
     def __post_init__(self):
+        self.dim = integer("dim", self.dim, 1)
+        self.eps = real("eps", self.eps, 0.0, 1.0, hi_open=True)
         if not self.vectors:
             raise ValueError("family must contain at least one vector")
         if any(v.dim != self.dim for v in self.vectors):
@@ -206,11 +197,9 @@ def random_coding_construct(d: int, eps: float, m: int,
     violating pair in lexicographic order is reported. The certified
     family is attached only on success.
     """
-    if int(m) != m or m < 1:
-        raise ValueError(f"M must be a positive integer, got {m!r}")
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    eps = _check_eps(eps)
+    m = integer("M", m, 1)
+    d = integer("d", d, 1)
+    eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     limits.check_state_dim(d)
     limits.check_sample_count(m * d)
     limits.check_pairwise_ops(m, d)
@@ -240,13 +229,10 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     Always returns a certified family; it may be shorter than
     ``target_m`` when the attempt budget runs out.
     """
-    if target_m < 1:
-        raise ValueError("target_m must be >= 1")
-    if max_attempts < target_m:
-        raise ValueError("max_attempts must be at least target_m")
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    eps = _check_eps(eps)
+    target_m = integer("target_m", target_m, 1)
+    max_attempts = integer("max_attempts", max_attempts, target_m)
+    d = integer("d", d, 1)
+    eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     limits.check_state_dim(d)
     limits.check_pairwise_ops(target_m, d)
     accepted = np.empty((0, d), dtype=np.complex128)
@@ -284,8 +270,10 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     statistic is the empirical failure fraction and the threshold is the
     union bound plus three binomial standard errors.
     """
-    if trials < 30:
-        raise ValueError("trials must be >= 30")
+    trials = integer("trials", trials, 30)
+    d = integer("d", d, 1)
+    eps = real("eps", eps, 0.0, 1.0, hi_open=True)
+    m = integer("M", m, 2)
     ub = union_bound_failure(d, eps, m)
     failures = 0
     for t in range(trials):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .validate import integer
+
 __all__ = ["RngStream"]
 
 
@@ -25,13 +27,9 @@ class RngStream:
 
     def __init__(self, seed: int, stream_index: int = 0,
                  _path: tuple[int, ...] = ()):
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
-        self._path = tuple(int(p) for p in _path)
+        self.seed = integer("seed", seed, 0)
+        self.stream_index = integer("stream_index", stream_index, 0)
+        self._path = tuple(_path)
         key = (self.stream_index, *self._path)
         self._generator = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=self.seed,
@@ -45,10 +43,8 @@ class RngStream:
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream, deterministic in (self, index)."""
-        if index < 0:
-            raise ValueError("substream index must be non-negative")
-        return RngStream(self.seed, self.stream_index,
-                         self._path + (int(index),))
+        index = integer("substream index", index, 0)
+        return RngStream(self.seed, self.stream_index, self._path + (index,))
 
     def __repr__(self) -> str:
         path = "".join(f"/{p}" for p in self._path)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import limits
 from .rng import RngStream
+from .validate import integer
 
 __all__ = [
     "StateVector",
@@ -59,7 +60,7 @@ class StateVector:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
         limits.check_state_dim(amps.size)
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValueError(
                 f"state not normalized: squared norm {norm_sq!r} "
                 f"deviates from 1 by more than {NORM_ATOL}"
@@ -91,11 +92,14 @@ class Unitary:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("entries must be a square matrix")
         limits.check_unitary_dim(mat.shape[0])
-        defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))
-        if float(defect.max()) > UNITARY_ATOL:
-            raise ValueError(
-                f"matrix is not unitary: max |U+U - I| = {float(defect.max()):.3e}"
-            )
+        # an inf entry turns the product NaN, which must reach the
+        # ValueError below rather than a RuntimeWarning
+        with np.errstate(invalid="ignore"):
+            gram = mat.conj().T @ mat
+        gram.flat[::mat.shape[0] + 1] -= 1.0
+        defect = np.abs(gram).max()
+        if not defect <= UNITARY_ATOL:
+            raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -116,10 +120,8 @@ def complex_gaussians(rng: RngStream, shape) -> np.ndarray:
 
 def basis_state(d: int, index: int = 0) -> StateVector:
     """Computational basis vector e_index in dimension d."""
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
-    if not 0 <= index < d:
-        raise ValueError(f"basis index {index} out of range for dim {d}")
+    d = integer("d", d, 1)
+    index = integer("basis index", index, 0, d - 1)
     amps = np.zeros(d, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps)
@@ -139,8 +141,7 @@ def haar_state(d: int, rng: RngStream) -> StateVector:
     rng : RngStream
         Source of randomness; the call consumes 2d real normals.
     """
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
+    d = integer("d", d, 1)
     limits.check_state_dim(d)
     g = complex_gaussians(rng, d)
     return StateVector(g / np.linalg.norm(g))
@@ -187,8 +188,7 @@ def haar_unitary(d: int, rng: RngStream) -> Unitary:
     rng : RngStream
         Source of randomness; the call consumes 2*d*d real normals.
     """
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
+    d = integer("d", d, 1)
     limits.check_unitary_dim(d)
     g = complex_gaussians(rng, (d, d))
     q, r = np.linalg.qr(g)
@@ -229,11 +229,9 @@ def apply_local(u_small: Unitary, targets, psi: StateVector) -> StateVector:
         State of dimension ``2**n``.
     """
     n = psi.num_qubits
-    targets = [int(t) for t in targets]
+    targets = [integer("target qubit", t, 0, n - 1) for t in targets]
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubits: {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"target out of range for {n} qubits: {targets}")
     k = len(targets)
     if u_small.dim != 2 ** k:
         raise ValueError(
