@@ -1,14 +1,17 @@
 """Command-line front end: configure, seed, run, and serialize experiments.
 
 Subcommands: overlap-dist, levy-check, packing (bound|build), decohere,
-deff. Every output embeds a provenance header (command line, seed,
-library version); identical command lines reproduce byte-identical
-output apart from the timestamp, which --no-timestamp suppresses.
+deff. Every output, the --family-csv file included, embeds a provenance
+header (command, seed, parameters, and the quasiortho, numpy and scipy
+versions); identical command lines reproduce byte-identical output
+apart from the timestamp, which --no-timestamp suppresses. Only this
+module writes files.
 
 Exit codes: 0 pass, 1 statistical test failed, 2 usage error,
 3 resource/IO error. Non-finite, non-integer or out-of-range input is a
 usage error: the library functions reject it with ValueError
-(:mod:`quasiortho.validate`), and the CLI repeats none of their checks.
+(:mod:`quasiortho.validate`), and the CLI repeats none of their checks;
+it only calls them early where a late rejection would waste a full draw.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import effective_dim as ed
@@ -58,7 +62,9 @@ def _resolve_seed(args) -> int:
 def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
     # the normalized parameter set, not raw argv: output paths and
     # formatting flags must not break byte-identical reproducibility
-    prov = {"command": command, "version": __version__}
+    # numpy and scipy fix the PCG64 and normal-draw streams
+    prov = {"command": command, "version": __version__,
+            "numpy": np.__version__, "scipy": scipy.__version__}
     if seed is not None:
         prov["seed"] = seed
     prov.update({f"param_{k}": v for k, v in sorted(params.items())})
@@ -68,8 +74,10 @@ def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
     return prov
 
 
-def _write(args, prov: dict, summary: dict, columns: list, rows: list) -> None:
-    if args.format == "json":
+def _write(path, fmt: str, prov: dict, summary: dict, columns: list,
+           rows: list) -> None:
+    """Write one artifact as CSV or JSON to ``path``, or stdout if None."""
+    if fmt == "json":
         obj = {
             "provenance": prov,
             "summary": summary,
@@ -83,15 +91,28 @@ def _write(args, prov: dict, summary: dict, columns: list, rows: list) -> None:
         lines.append(",".join(columns))
         lines += [",".join(_fmt_cell(c) for c in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:
+    """The certified family as CSV, one row of re/im pairs per vector."""
+    summary = {"dim": family.dim, "eps": family.eps, "size": family.size,
+               "max_pairwise": family.max_pairwise}
+    columns = [f"{part}{k}" for k in range(family.dim) for part in ("re", "im")]
+    # a complex128 row viewed as float64 is (re0, im0, re1, im1, ...)
+    _write(path, "csv", prov, summary, columns,
+           family.matrix().view(np.float64).tolist())
+
+
 def cmd_overlap_dist(args) -> int:
     integer("--bins", args.bins, 1)
+    # checked before the draw, which would otherwise run to completion
+    integer("--trials", args.trials, ov.KS_MIN_SAMPLES)
+    ov.ks_critical_value(args.alpha)
     seed = _resolve_seed(args)
     sample = ov.sample_overlaps(args.d, args.trials, RngStream(seed))
     report = ov.ks_test(sample, alpha=args.alpha)
@@ -127,7 +148,7 @@ def cmd_overlap_dist(args) -> int:
         "d": args.d, "trials": args.trials, "bins": args.bins,
         "alpha": args.alpha,
     })
-    _write(args, prov, summary, columns, rows)
+    _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS if report.passed else EXIT_STAT_FAIL
 
 
@@ -152,7 +173,7 @@ def cmd_levy_check(args) -> int:
     prov = _provenance(args, "levy-check", None, {
         "d": args.d, "delta": args.delta,
     })
-    _write(args, prov, summary, columns, rows)
+    _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS if violations == 0 else EXIT_STAT_FAIL
 
 
@@ -180,7 +201,7 @@ def cmd_packing_bound(args) -> int:
     prov = _provenance(args, "packing bound", None, {
         "d": args.d, "qubits": args.qubits, "eps": args.eps,
     })
-    _write(args, prov, summary, columns, rows)
+    _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS
 
 
@@ -205,7 +226,7 @@ def cmd_packing_build(args) -> int:
         summary = {"description": report.description,
                    "success_fraction": success_fraction,
                    "pass": report.passed}
-        _write(args, prov, summary, columns, rows)
+        _write(args.output, args.format, prov, summary, columns, rows)
         return EXIT_PASS if report.passed else EXIT_STAT_FAIL
 
     if args.method == "greedy":
@@ -218,8 +239,8 @@ def cmd_packing_build(args) -> int:
         summary = {"success": success, "size": family.size,
                    "max_pairwise": family.max_pairwise}
         if args.family_csv:
-            family.to_csv(args.family_csv)
-        _write(args, prov, summary, columns, rows)
+            _write_family(args.family_csv, prov, family)
+        _write(args.output, args.format, prov, summary, columns, rows)
         return EXIT_PASS if success else EXIT_STAT_FAIL
 
     report = pk.random_coding_construct(args.d, args.eps, args.M, rng)
@@ -232,8 +253,8 @@ def cmd_packing_build(args) -> int:
     summary = report.as_dict()
     summary["failure_pair"] = pair
     if report.family is not None and args.family_csv:
-        report.family.to_csv(args.family_csv)
-    _write(args, prov, summary, columns, rows)
+        _write_family(args.family_csv, prov, report.family)
+    _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS if report.success else EXIT_STAT_FAIL
 
 
@@ -285,7 +306,7 @@ def cmd_decohere(args) -> int:
         "depth": model.depth, "trials": args.trials,
         "theta": None if model.thetas is None else list(model.thetas),
     })
-    _write(args, prov, summary, columns, rows)
+    _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS
 
 
@@ -315,7 +336,7 @@ def cmd_deff(args) -> int:
     prov = _provenance(args, "deff", None, {
         "spectrum": args.spectrum, "energy": args.energy, "width": args.width,
     })
-    _write(args, prov, summary, columns, rows)
+    _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS
 
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import limits
 from .rng import RngStream
-from .states import StateVector, Unitary, apply_local, basis_state, haar_state, haar_unitary
+from .states import (StateVector, Unitary, apply_local, basis_state, haar_state,
+                     haar_unitary, pairwise_overlap_sq)
 from .validate import integer, real
 
 __all__ = [
@@ -162,22 +163,6 @@ class MeasurementModel:
             env_initial=env_initial,
         )
 
-    def to_config(self) -> dict:
-        cfg = {
-            "pointer_count": self.pointer_count,
-            "coefficients": [[z.real, z.imag] for z in self.coefficients],
-            "env_qubits": self.env_qubits,
-            "dynamics": self.dynamics,
-        }
-        if self.depth is not None:
-            cfg["depth"] = self.depth
-        if self.thetas is not None:
-            cfg["thetas"] = list(self.thetas)
-        if self.env_initial is not None:
-            cfg["env_initial"] = [[z.real, z.imag]
-                                  for z in self.env_initial.amplitudes]
-        return cfg
-
 
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
@@ -271,7 +256,11 @@ class ReducedDensityMatrix:
         rho = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
-        if not np.max(np.abs(rho - rho.conj().T)) <= RHO_ATOL:
+        # an inf entry makes the difference NaN, which must reach the
+        # ValueError rather than a RuntimeWarning
+        with np.errstate(invalid="ignore"):
+            asymmetry = np.max(np.abs(rho - rho.conj().T))
+        if not asymmetry <= RHO_ATOL:
             raise ValueError("density matrix is not Hermitian")
         if not abs(np.trace(rho).real - 1.0) <= RHO_ATOL:
             raise ValueError(f"trace {complex(np.trace(rho))!r} != 1")
@@ -307,9 +296,7 @@ def max_coherence(rho: ReducedDensityMatrix) -> float:
 
 
 def _pair_overlaps(branches: BranchSet) -> np.ndarray:
-    gram = gram_matrix(branches)
-    iu = np.triu_indices(branches.count, k=1)
-    return np.abs(gram[iu]) ** 2
+    return np.concatenate(list(pairwise_overlap_sq(branches.matrix())))
 
 
 def typicality_ratio(branches: BranchSet, d_eff: float) -> float:
@@ -393,34 +380,6 @@ class SuppressionResult:
             "seed": self.seed_record[0],
             "stream_index": self.seed_record[1],
         }
-
-    def to_json(self, path=None):
-        obj = {
-            "model": self.model.to_config(),
-            "summary": self.summary(),
-            "pair_overlaps": [[float(v) for v in row]
-                              for row in self.pair_overlaps],
-            "max_coherences": [float(v) for v in self.max_coherences],
-        }
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return obj
-
-    def to_csv(self, path) -> None:
-        """Flattened rows: trial, pair, squared_overlap, max_coherence."""
-        k = self.model.pointer_count
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, val in sorted(self.summary().items()):
-                fh.write(f"# {key}={val}\n")
-            fh.write("trial,pair,squared_overlap,max_coherence\n")
-            for t in range(self.trials):
-                for p, (i, j) in enumerate(pairs):
-                    fh.write(f"{t},{i}-{j},"
-                             f"{self.pair_overlaps[t, p]:.17g},"
-                             f"{self.max_coherences[t]:.17g}\n")
 
 
 def suppression_experiment(model: MeasurementModel, trials: int,

@@ -131,14 +131,6 @@ class EffectiveDimensionReport:
             "amplitude_scale": amplitude_scale,
         }
 
-    def to_json(self, path=None):
-        obj = self.as_dict()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return obj
-
 
 def noninteracting_qubit_spectrum(n: int) -> Spectrum:
     """Spectrum of n non-interacting qubits: energy = excitation count.

@@ -12,7 +12,6 @@ not underflow at d ~ 1e3-1e4.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -167,15 +166,6 @@ class TestReport:
         threshold = real("threshold", self.threshold)
         object.__setattr__(self, "passed", statistic <= threshold)
 
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "alpha": self.alpha,
-            "description": self.description,
-        }
-
 
 @dataclass(frozen=True)
 class EmpiricalSample:
@@ -202,30 +192,6 @@ class EmpiricalSample:
     @property
     def count(self) -> int:
         return self.values.size
-
-    def to_csv(self, path) -> None:
-        """One value per line under a header recording dim, count, seed."""
-        seed, stream = self.seed_record
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# dim={self.dim} count={self.count} "
-                     f"seed={seed} stream_index={stream}\n")
-            for v in self.values:
-                fh.write(f"{v:.17g}\n")
-
-    def to_json(self, path=None):
-        seed, stream = self.seed_record
-        obj = {
-            "dim": self.dim,
-            "count": self.count,
-            "seed": seed,
-            "stream_index": stream,
-            "values": [float(v) for v in self.values],
-        }
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return obj
 
 
 def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:

@@ -10,7 +10,6 @@ the doubly-exponential qubit regime never overflows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from scipy.stats import norm as _norm
 from . import limits
 from .overlap import TestReport
 from .rng import RngStream
-from .states import StateVector, complex_gaussians
+from .states import StateVector, complex_gaussians, pairwise_overlap_sq
 from .validate import integer, real
 
 __all__ = [
@@ -115,23 +114,6 @@ class QuasiOrthogonalFamily:
         """Stacked amplitudes, one vector per row."""
         return np.vstack([v.amplitudes for v in self.vectors])
 
-    def to_csv(self, path) -> None:
-        """One row per vector, interleaved re/im columns."""
-        mat = self.matrix()
-        header = ",".join(
-            f"re{k},im{k}" for k in range(self.dim)
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# dim={self.dim} eps={self.eps:.17g} size={self.size}"
-                     f" max_pairwise={'' if self.max_pairwise is None else format(self.max_pairwise, '.17g')}\n")
-            fh.write(header + "\n")
-            for row in mat:
-                parts = []
-                for z in row:
-                    parts.append(f"{z.real:.17g}")
-                    parts.append(f"{z.imag:.17g}")
-                fh.write(",".join(parts) + "\n")
-
 
 @dataclass(frozen=True)
 class PackingReport:
@@ -157,31 +139,22 @@ class PackingReport:
             "union_bound": self.union_bound,
         }
 
-    def to_json(self, path=None):
-        obj = self.as_dict()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return obj
-
 
 def _pairwise_stats(mat: np.ndarray, eps: float):
     """Exact all-pairs max squared overlap and first violating pair."""
-    m = mat.shape[0]
-    if m == 1:
-        return 0.0, None
-    gram = mat @ mat.conj().T
-    over = np.abs(gram) ** 2
-    iu = np.triu_indices(m, k=1)
-    pair_vals = over[iu]
-    max_pairwise = float(pair_vals.max())
-    failure_pair = None
-    if max_pairwise > eps:
-        # triu_indices enumerates pairs in lexicographic (i, j) order
-        first = int(np.argmax(pair_vals > eps))
-        failure_pair = (int(iu[0][first]), int(iu[1][first]))
-    return max_pairwise, failure_pair
+    max_pairwise, first_bad, done = 0.0, None, 0
+    for vals in pairwise_overlap_sq(mat):
+        max_pairwise = max(max_pairwise, float(vals.max()))
+        if first_bad is None and max_pairwise > eps:
+            first_bad = done + int(np.argmax(vals > eps))
+        done += vals.size
+    if first_bad is None:
+        return max_pairwise, None
+    # pair (i, j) is number starts[i] + j - i - 1 in lexicographic order
+    i = np.arange(mat.shape[0])
+    starts = i * (2 * mat.shape[0] - i - 1) // 2
+    row = int(np.searchsorted(starts, first_bad, side="right")) - 1
+    return max_pairwise, (row, first_bad - int(starts[row]) + row + 1)
 
 
 def _sample_rows(d: int, m: int, rng: RngStream) -> np.ndarray:
@@ -235,16 +208,17 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     limits.check_state_dim(d)
     limits.check_pairwise_ops(target_m, d)
-    accepted = np.empty((0, d), dtype=np.complex128)
+    buffer = np.empty((target_m, d), dtype=np.complex128)
+    size = 0
     for _ in range(max_attempts):
         row = _sample_rows(d, 1, rng)[0]
-        if accepted.shape[0]:
-            worst = float(np.max(np.abs(accepted @ row.conj()) ** 2))
-            if worst > eps:
-                continue
-        accepted = np.vstack([accepted, row])
-        if accepted.shape[0] == target_m:
+        if size and np.max(np.abs(buffer[:size] @ row.conj()) ** 2) > eps:
+            continue
+        buffer[size] = row
+        size += 1
+        if size == target_m:
             break
+    accepted = buffer[:size]
     max_pairwise, _ = _pairwise_stats(accepted, eps)
     return QuasiOrthogonalFamily(
         dim=d, eps=eps,

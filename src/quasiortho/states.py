@@ -27,6 +27,7 @@ __all__ = [
     "haar_state",
     "inner",
     "overlap_sq",
+    "pairwise_overlap_sq",
     "chordal_distance",
     "haar_unitary",
     "apply",
@@ -42,6 +43,14 @@ NORM_ATOL = 1e-9
 UNITARY_ATOL = 1e-9
 # overlap_sq is clamped into [0, 1] only when the excess is below this.
 CLAMP_ATOL = 1e-10
+# Complex Gram entries per block of pairwise_overlap_sq (16 MB), so
+# all-pairs work holds O(block * M) memory, never the M x M Gram matrix.
+_GRAM_BLOCK_ENTRIES = 1 << 20
+# Blocks start on multiples of this many rows, so BLAS tiles every block
+# on the same grid as the full product and each entry is bit-identical
+# to the dense Gram matrix. OpenBLAS 0.3.31 (x86-64, AVX-512) needed a
+# multiple of 4; other starts changed the last bit of edge-tile entries.
+_BLOCK_ROW_ALIGN = 16
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,10 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
         limits.check_state_dim(amps.size)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        # amplitudes near 1e200 overflow to inf, which must reach the
+        # ValueError below rather than a RuntimeWarning
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValueError(
                 f"state not normalized: squared norm {norm_sq!r} "
@@ -114,7 +126,8 @@ def complex_gaussians(rng: RngStream, shape) -> np.ndarray:
     Draw layout is row-major over ``shape + (2,)`` real normals, which
     makes chunked draws bit-identical to a single large draw.
     """
-    z = rng.generator.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
+    dims = tuple(integer("shape entry", n, 0) for n in np.atleast_1d(shape))
+    z = rng.generator.standard_normal(dims + (2,))
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
@@ -164,6 +177,25 @@ def overlap_sq(psi: StateVector, phi: StateVector) -> float:
     if 1.0 < v <= 1.0 + CLAMP_ATOL:
         return 1.0
     return v
+
+
+def pairwise_overlap_sq(rows: np.ndarray):
+    """Yield |<u_j|u_i>|^2 for all row pairs i < j, block by block.
+
+    Each item is a 1-D array covering the pairs of a block of rows
+    [i0, i1), computed from ``rows[i0:i1] @ rows[i0:].conj().T``. Items
+    come in lexicographic (i, j) order, so their concatenation equals
+    the upper triangle of the full squared-modulus Gram matrix read row
+    by row. A block holds at most max(16 M, 2**20) complex Gram entries.
+    """
+    m = rows.shape[0]
+    step = max(1, _GRAM_BLOCK_ENTRIES // m // _BLOCK_ROW_ALIGN) * _BLOCK_ROW_ALIGN
+    # the last row has no partner j > i
+    for i0 in range(0, m - 1, step):
+        i1 = min(i0 + step, m)
+        over = np.abs(rows[i0:i1] @ rows[i0:].conj().T) ** 2
+        upper = np.arange(i0, m) > np.arange(i0, i1)[:, None]
+        yield over[upper]
 
 
 def chordal_distance(psi: StateVector, phi: StateVector) -> float:

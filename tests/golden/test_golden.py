@@ -65,11 +65,15 @@ def _write_spectrum(path: Path) -> None:
 
 def _parse_family_csv(path: Path) -> dict:
     lines = path.read_text(encoding="utf-8").splitlines()
-    header = dict(item.split("=", 1) for item in lines[0][2:].split())
+    comments = [ln for ln in lines if ln.startswith("# ")]
+    header = dict(ln[2:].split("=", 1) for ln in comments)
+    table = lines[len(comments):]
     return {
-        "header": {k: float(v) if v else None for k, v in header.items()},
-        "columns": lines[1].split(","),
-        "rows": [[float(c) for c in ln.split(",")] for ln in lines[2:]],
+        # the family summary; the provenance lines are checked elsewhere
+        "header": {k: float(header[k]) if header[k] else None
+                   for k in ("dim", "eps", "size", "max_pairwise")},
+        "columns": table[0].split(","),
+        "rows": [[float(c) for c in ln.split(",")] for ln in table[1:]],
     }
 
 

@@ -3,6 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+import scipy
+
+from quasiortho import RngStream, greedy_construct
 from quasiortho.cli import main
 
 
@@ -41,6 +46,15 @@ class TestOverlapDist:
         code, _ = run_cli(["overlap-dist", "--d", "16", "--trials", "50",
                            "--seed", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [["--alpha", "nan"], ["--trials", "99"]])
+    def test_bad_ks_input_is_rejected_before_sampling(self, flag, monkeypatch):
+        calls = []
+        monkeypatch.setattr("quasiortho.overlap.sample_overlaps",
+                            lambda *a: calls.append(a))
+        assert main(["overlap-dist", "--d", "1024", "--seed", "1",
+                     "--no-timestamp"] + flag) == 2
+        assert calls == []
 
     def test_unseeded_run_records_drawn_seed(self, capsys):
         code, out = run_cli(["overlap-dist", "--d", "16", "--trials", "200",
@@ -148,7 +162,16 @@ class TestPackingBuild:
         assert code == 0
         assert json.loads(out)["summary"]["size"] == 10
         lines = fam_path.read_text().splitlines()
-        assert len(lines) == 12  # header comment + column row + 10 vectors
+        header = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+        assert header["seed"] == "6"
+        assert header["command"] == "packing build"
+        table = lines[len(header):]
+        assert table[0] == ",".join(f"re{k},im{k}" for k in range(32))
+        # the CLI's default attempt budget is 100 * M
+        family = greedy_construct(32, 0.3, 10, 1000, RngStream(6))
+        cells = np.array([[float(c) for c in ln.split(",")] for ln in table[1:]])
+        rebuilt = cells[:, 0::2] + 1j * cells[:, 1::2]
+        assert np.allclose(rebuilt, family.matrix(), rtol=0, atol=1e-15)
 
 
 class TestDecohere:
@@ -295,6 +318,15 @@ class TestReproducibility:
         assert prov["param_d"] == 16
         assert prov["param_trials"] == 200
         assert prov["version"]
+
+    def test_provenance_records_numpy_and_scipy_versions(self, tmp_path):
+        # they fix the PCG64 and normal-draw streams
+        out = tmp_path / "o.json"
+        main(["levy-check", "--d", "16", "--delta", "0.5", "--format", "json",
+              "--no-timestamp", "--output", str(out)])
+        prov = json.loads(out.read_text())["provenance"]
+        assert prov["numpy"] == np.__version__
+        assert prov["scipy"] == scipy.__version__
 
 
 def test_console_script_entry_point():

@@ -14,6 +14,7 @@ from quasiortho import (
     generate_branches,
     gram_matrix,
     greedy_construct,
+    haar_state,
     integrable_overlap_exact,
     ks_test,
     max_coherence,
@@ -22,7 +23,7 @@ from quasiortho import (
     suppression_experiment,
     typicality_ratio,
 )
-from quasiortho.decoherence import ATYPICAL_RATIO
+from quasiortho.decoherence import ATYPICAL_RATIO, _pair_overlaps
 from quasiortho.overlap import EmpiricalSample
 
 COS20_01 = 0.904686221058675  # cos^20(0.1), extended-precision oracle
@@ -106,13 +107,19 @@ class TestMeasurementModel:
                              env_qubits=20, dynamics="exact-haar")
 
     def test_config_round_trip(self):
-        m = integrable_model(4, thetas=[0.0, 0.2, -0.3],
-                             coeffs=np.array([0.5, 0.5, 1j / math.sqrt(2)]))
-        again = MeasurementModel.from_config(m.to_config())
-        assert again.pointer_count == m.pointer_count
-        assert np.allclose(again.coefficients, m.coefficients)
-        assert again.dynamics == m.dynamics
-        assert again.thetas == m.thetas
+        m = MeasurementModel.from_config({
+            "pointer_count": 3,
+            "coefficients": [[0.5, 0.0], [0.5, 0.0], [0.0, 1 / math.sqrt(2)]],
+            "env_qubits": 4,
+            "dynamics": "integrable-product",
+            "thetas": [0.0, 0.2, -0.3],
+        })
+        assert m.pointer_count == 3
+        assert np.array_equal(m.coefficients,
+                              [0.5, 0.5, 1j / math.sqrt(2)])
+        assert m.env_qubits == 4
+        assert m.dynamics == "integrable-product"
+        assert m.thetas == (0.0, 0.2, -0.3)
 
     def test_config_from_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -285,6 +292,15 @@ class TestGramAndDensity:
         with pytest.raises(ValueError):
             ReducedDensityMatrix(bad)  # negative eigenvalue
 
+    # at d = 4, 2100 records span 5 Gram blocks of the pairwise kernel
+    @pytest.mark.parametrize("k", [2, 3, 2100])
+    def test_pair_overlaps_match_dense_gram_exactly(self, k):
+        rng = RngStream(18)
+        bs = BranchSet(branches=tuple(haar_state(4, rng) for _ in range(k)),
+                       generation_record={})
+        dense = np.abs(gram_matrix(bs)[np.triu_indices(k, k=1)]) ** 2
+        assert np.array_equal(_pair_overlaps(bs), dense)
+
     def test_branch_count_mismatch(self):
         m = exact_haar_model(3, k=3, coeffs=np.full(3, 1 / math.sqrt(3)))
         bs = generate_branches(exact_haar_model(3), RngStream(0))
@@ -386,24 +402,6 @@ class TestSuppressionExperiment:
                     for t in reversed(range(5))]
         for f, b in zip(forward, reversed(backward)):
             assert f.tobytes() == b.tobytes()
-
-    def test_json_and_csv_serialization(self, tmp_path):
-        m = exact_haar_model(3, k=3, coeffs=np.full(3, 1 / math.sqrt(3)))
-        result = suppression_experiment(m, 30, RngStream(91))
-        jpath = tmp_path / "exp.json"
-        obj = result.to_json(jpath)
-        loaded = json.loads(jpath.read_text())
-        assert loaded["summary"]["trials"] == 30
-        assert loaded["summary"]["d_eff"] == 8
-        assert len(loaded["pair_overlaps"]) == 30
-        assert obj["summary"]["typicality_ratio"] == result.typicality
-
-        cpath = tmp_path / "exp.csv"
-        result.to_csv(cpath)
-        lines = [ln for ln in cpath.read_text().splitlines()
-                 if not ln.startswith("#")]
-        assert lines[0] == "trial,pair,squared_overlap,max_coherence"
-        assert len(lines) == 1 + 30 * 3  # k=3 -> 3 pairs per trial
 
 
 def test_integrable_overlap_exact_edges():

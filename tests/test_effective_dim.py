@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -152,14 +151,6 @@ class TestReport:
     def test_method_validated(self):
         with pytest.raises(ValueError):
             EffectiveDimensionReport(d_eff=4.0, method="guesswork")
-
-    def test_json(self, tmp_path):
-        path = tmp_path / "report.json"
-        EffectiveDimensionReport(d_eff=924.0, method="microcanonical-shell").to_json(path)
-        obj = json.loads(path.read_text())
-        assert obj["d_eff"] == 924.0
-        assert abs(obj["entropy"] - math.log(924)) < 1e-12
-        assert obj["method"] == "microcanonical-shell"
 
 
 def test_entropy_extensive_on_qubit_spectrum():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -313,24 +312,3 @@ class TestReportAndSample:
             EmpiricalSample(4, np.array([0.2, 0.1]), (0, 0))  # unsorted
         with pytest.raises(ValueError):
             EmpiricalSample(4, np.array([-0.1, 0.2]), (0, 0))  # range
-
-    def test_csv_serialization(self, tmp_path):
-        s = sample_overlaps(8, 200, RngStream(3, 1))
-        path = tmp_path / "sample.csv"
-        s.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# dim=8 count=200 seed=3 stream_index=1"
-        assert len(lines) == 201
-        parsed = np.array([float(x) for x in lines[1:]])
-        assert np.allclose(parsed, s.values, atol=1e-16)
-
-    def test_json_serialization(self, tmp_path):
-        s = sample_overlaps(8, 150, RngStream(4, 2))
-        path = tmp_path / "sample.json"
-        s.to_json(path)
-        obj = json.loads(path.read_text())
-        assert obj["dim"] == 8
-        assert obj["count"] == 150
-        assert obj["seed"] == 4
-        assert obj["stream_index"] == 2
-        assert np.allclose(obj["values"], s.values)

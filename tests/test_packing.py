@@ -1,5 +1,5 @@
-import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +22,8 @@ from quasiortho import (
     union_bound_failure,
     verify,
 )
+from quasiortho.packing import _pairwise_stats, _sample_rows
+from quasiortho.states import pairwise_overlap_sq
 
 # Extended-precision oracle values (mpmath, 60 digits)
 LOG_BOUND_100_01 = 4.71534552506240       # (99/2)(-ln 0.9) - 1/2
@@ -239,6 +241,49 @@ class TestVerify:
                                   vectors=[basis_state(4), basis_state(8)])
 
 
+def dense_pairwise_stats(mat, eps):
+    """Oracle: the full M x M Gram matrix read over np.triu_indices."""
+    m = mat.shape[0]
+    if m == 1:
+        return 0.0, None
+    iu = np.triu_indices(m, k=1)
+    vals = (np.abs(mat @ mat.conj().T) ** 2)[iu]
+    if vals.max() <= eps:
+        return float(vals.max()), None
+    first = int(np.argmax(vals > eps))
+    return float(vals.max()), (int(iu[0][first]), int(iu[1][first]))
+
+
+class TestPairwiseKernel:
+    # at d = 4, M = 2100 spans 5 Gram blocks of the kernel
+    @pytest.mark.parametrize("m", [1, 2, 3, 2100])
+    def test_matches_dense_gram_exactly(self, m):
+        mat = _sample_rows(4, m, RngStream(16))
+        vals = (np.abs(mat @ mat.conj().T) ** 2)[np.triu_indices(m, k=1)]
+        # at the three largest values the first violation moves late
+        for eps in [0.0, 0.5, *np.sort(vals)[-3:]]:
+            assert _pairwise_stats(mat, eps) == dense_pairwise_stats(mat, eps)
+
+    def test_first_violation_found_past_the_first_block(self):
+        mat = _sample_rows(4, 2100, RngStream(16))
+        assert len(list(pairwise_overlap_sq(mat))) > 1
+        mat[1700] = mat[1500]  # overlap 1, in the fourth block
+        max_pairwise, pair = _pairwise_stats(mat, 0.999)
+        assert pair == (1500, 1700)
+        assert (max_pairwise, pair) == dense_pairwise_stats(mat, 0.999)
+
+    def test_memory_is_blocked(self):
+        mat = _sample_rows(4, 4000, RngStream(17))
+        tracemalloc.start()
+        try:
+            _pairwise_stats(mat, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense Gram matrix of 4000 rows alone is 256 MB
+        assert peak < 128 * 2 ** 20
+
+
 class TestSuccessRateExperiment:
     def test_near_one_threshold_always_succeeds(self):
         report = success_rate_experiment(2, 0.999999, 3, 30, RngStream(10))
@@ -267,27 +312,3 @@ class TestSuccessRateExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             success_rate_experiment(8, 0.5, 2, 10, RngStream(0))
-
-
-class TestSerialization:
-    def test_report_json(self, tmp_path):
-        report = random_coding_construct(16, 0.5, 4, RngStream(14))
-        path = tmp_path / "report.json"
-        report.to_json(path)
-        obj = json.loads(path.read_text())
-        assert obj["d"] == 16
-        assert obj["M_requested"] == 4
-        assert obj["success"] == report.success
-        assert "union_bound" in obj
-
-    def test_family_csv(self, tmp_path):
-        fam = greedy_construct(6, 0.9, 3, 100, RngStream(15))
-        path = tmp_path / "family.csv"
-        fam.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# dim=6 eps=")
-        assert lines[1].split(",")[:2] == ["re0", "im0"]
-        assert len(lines) == 2 + fam.size
-        row0 = [float(v) for v in lines[2].split(",")]
-        rebuilt = np.array(row0[0::2]) + 1j * np.array(row0[1::2])
-        assert np.allclose(rebuilt, fam.vectors[0].amplitudes, atol=1e-15)

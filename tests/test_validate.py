@@ -67,6 +67,23 @@ def test_nan_state_vector_raises():
         sv.StateVector(np.array([NAN, 0.0]))
 
 
+def test_overflowing_state_vector_raises_without_warning():
+    # |1e200|^2 overflows; the suite turns the RuntimeWarning into an error
+    with pytest.raises(ValueError):
+        sv.StateVector(np.array([1e200, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [2.5, NAN])
+def test_complex_gaussians_bad_shape_is_value_error(shape):
+    with pytest.raises(ValueError):
+        sv.complex_gaussians(RngStream(0), shape)
+
+
+def test_inf_density_matrix_raises_without_warning():
+    with pytest.raises(ValueError):
+        dc.ReducedDensityMatrix(np.array([[INF, 0.0], [0.0, 0.0]]))
+
+
 def test_nan_unitary_raises():
     with pytest.raises(ValueError):
         sv.Unitary(np.full((2, 2), NAN))
