@@ -20,6 +20,7 @@ import argparse
 import datetime
 import json
 import math
+import platform
 import sys
 
 import numpy as np
@@ -64,6 +65,7 @@ def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
     # formatting flags must not break byte-identical reproducibility
     # numpy and scipy fix the PCG64 and normal-draw streams
     prov = {"command": command, "version": __version__,
+            "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
     if seed is not None:
         prov["seed"] = seed

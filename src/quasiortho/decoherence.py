@@ -33,8 +33,8 @@ import numpy as np
 
 from . import limits
 from .rng import RngStream
-from .states import (StateVector, Unitary, apply_local, basis_state, haar_state,
-                     haar_unitary, pairwise_overlap_sq)
+from .states import (StateVector, Unitary, _apply_gate, _haar_unitaries,
+                     basis_state, haar_state, pairwise_overlap_sq)
 from .validate import integer, real
 
 __all__ = [
@@ -177,6 +177,7 @@ class BranchSet:
 
     branches: tuple[StateVector, ...]
     generation_record: dict
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         branches = tuple(self.branches)
@@ -185,6 +186,9 @@ class BranchSet:
         if any(b.dim != branches[0].dim for b in branches):
             raise ValueError("all branches must share one dimension")
         object.__setattr__(self, "branches", branches)
+        mat = np.vstack([b.amplitudes for b in branches])
+        mat.setflags(write=False)
+        object.__setattr__(self, "_matrix", mat)
 
     @property
     def count(self) -> int:
@@ -195,7 +199,9 @@ class BranchSet:
         return self.branches[0].dim
 
     def matrix(self) -> np.ndarray:
-        return np.vstack([b.amplitudes for b in self.branches])
+        """Read-only ``(count, dim)`` record matrix, one record per row,
+        built once at construction."""
+        return self._matrix
 
 
 def _rotation_y(theta: float) -> Unitary:
@@ -208,9 +214,18 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
 
     Pointer value i draws from ``rng.substream(i)``, so branch sets are
     reproducible from (model, seed, stream_index) alone and independent
-    of evaluation order.
+    of evaluation order. A chaotic-circuit branch draws all its gates in
+    one ``_haar_unitaries`` batch, layer by layer and left to right
+    within a layer; the batch is bit-identical to one ``haar_unitary(4)``
+    call per gate in that order. Gates act on the raw amplitudes, and
+    each finished record is validated once as a ``StateVector``.
     """
     n = model.env_qubits
+    sites = []
+    if model.dynamics == "chaotic-circuit":
+        # brickwork: even layers pair (0, 1), (2, 3), ...; odd ones (1, 2), ...
+        sites = [(q, q + 1) for layer in range(model.depth)
+                 for q in range(layer % 2, n - 1, 2)]
     branches = []
     for i in range(model.pointer_count):
         stream = rng.substream(i)
@@ -218,19 +233,17 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
             # Equal in law to applying an independent Haar unitary to the
             # initial state, at O(2^n) rather than O(2^3n) cost.
             branches.append(haar_state(model.env_dim, stream))
-        elif model.dynamics == "chaotic-circuit":
-            state = model.initial_state()
-            for layer in range(model.depth):
-                for q in range(layer % 2, n - 1, 2):
-                    gate = haar_unitary(4, stream)
-                    state = apply_local(gate, (q, q + 1), state)
-            branches.append(state)
+            continue
+        amps = model.initial_state().amplitudes
+        if model.dynamics == "chaotic-circuit":
+            gates = _haar_unitaries(4, len(sites), stream)
+            for gate, targets in zip(gates, sites):
+                amps = _apply_gate(gate, targets, amps)
         else:  # integrable-product
-            gate = _rotation_y(model.thetas[i])
-            state = model.initial_state()
+            gate = _rotation_y(model.thetas[i]).entries
             for q in range(n):
-                state = apply_local(gate, (q,), state)
-            branches.append(state)
+                amps = _apply_gate(gate, (q,), amps)
+        branches.append(StateVector(amps))
     record = {
         "dynamics": model.dynamics,
         "seed": rng.seed,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -38,6 +39,9 @@ __all__ = [
 # exp() overflows float64 just above this; larger bounds only exist in
 # log form.
 _MAX_EXP_ARG = 700.0
+# Below exp(this) = 2**53 the bound's floor is computed exactly; above,
+# floats are no longer dense in the integers and the float value is used.
+_EXACT_FLOOR_ARG = 53 * math.log(2.0)
 # Largest qubit count for which 2**n is a float-representable dimension.
 MAX_QUBITS_ANALYTIC = 1000
 
@@ -52,9 +56,13 @@ def log_lower_bound(d: int, eps: float) -> float:
 def lower_bound(d: int, eps: float) -> int:
     """Guaranteed family size floor(exp(log_lower_bound(d, eps))).
 
-    Returns 0 whenever the exponent makes the floor vanish (eps = 0 or
-    d = 1 give exponent -1/2). Raises OverflowError once the value
-    exceeds float range; use :func:`log_lower_bound` in that regime.
+    Below 2**53 this is the floor of the exact bound for the given
+    (d, eps), computed in decimal arithmetic: a float exp() rounds
+    values just below an integer up to it, which would claim one more
+    vector than the bound guarantees. Returns 0 whenever the exponent
+    makes the floor vanish (eps = 0 or d = 1 give exponent -1/2). Raises
+    OverflowError once the value exceeds float range; use
+    :func:`log_lower_bound` in that regime.
     """
     log_m = log_lower_bound(d, eps)
     if log_m > _MAX_EXP_ARG:
@@ -62,7 +70,32 @@ def lower_bound(d: int, eps: float) -> int:
             f"bound exp({log_m:.6g}) exceeds float range; "
             "use log_lower_bound/qubit_capacity_log"
         )
+    if log_m < _EXACT_FLOOR_ARG:
+        # validated above; numpy integers do not convert to Decimal
+        return _exact_floor(int(d), float(eps))
     return int(math.floor(math.exp(log_m)))
+
+
+def _exact_floor(d: int, eps: float) -> int:
+    """floor(exp(((d-1)/2)(-ln(1-eps)) - 1/2)) for the binary value of eps.
+
+    Each decimal operation is correctly rounded, so at ``prec`` digits
+    the value is off by far less than 10**(20 - prec) below 2**53; the
+    precision doubles until the value is at least that far from an
+    integer, which it always is for some precision (the bound is never
+    an integer).
+    """
+    prec = 40
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            x = Decimal(d - 1) / 2 * -(1 - Decimal(eps)).ln() - Decimal("0.5")
+            value = x.exp()
+            floor = int(value)
+            margin = Decimal(10) ** (20 - prec)
+            if value - floor > margin and floor + 1 - value > margin:
+                return floor
+        prec *= 2
 
 
 def qubit_capacity_log(n: int, eps: float) -> float:

@@ -12,6 +12,7 @@ Conventions fixed here and used throughout the library:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,20 +105,25 @@ class Unitary:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("entries must be a square matrix")
         limits.check_unitary_dim(mat.shape[0])
-        # an inf entry turns the product NaN, which must reach the
-        # ValueError below rather than a RuntimeWarning
-        with np.errstate(invalid="ignore"):
-            gram = mat.conj().T @ mat
-        gram.flat[::mat.shape[0] + 1] -= 1.0
-        defect = np.abs(gram).max()
-        if not defect <= UNITARY_ATOL:
-            raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
+        _check_unitary(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_unitary(mats: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a ``(..., d, d)`` stack is
+    unitary: max |U+U - I| <= ``UNITARY_ATOL`` over all entries."""
+    # an inf entry turns the product NaN, which must reach the ValueError
+    # below rather than a RuntimeWarning
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.swapaxes(mats.conj(), -1, -2) @ mats
+        defect = np.abs(gram - np.eye(mats.shape[-1])).max()
+    if not defect <= UNITARY_ATOL:
+        raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
 
 
 def complex_gaussians(rng: RngStream, shape) -> np.ndarray:
@@ -218,15 +224,27 @@ def haar_unitary(d: int, rng: RngStream) -> Unitary:
     d : int
         Matrix dimension, >= 1.
     rng : RngStream
-        Source of randomness; the call consumes 2*d*d real normals.
+        Source of randomness; the call consumes 2*d*d real normals. A
+        batch of G gates drawn at once (as ``generate_branches`` draws a
+        chaotic-circuit branch) is bit-identical to G sequential calls.
     """
     d = integer("d", d, 1)
     limits.check_unitary_dim(d)
-    g = complex_gaussians(rng, (d, d))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return Unitary(q)
+    return Unitary(_haar_unitaries(d, 1, rng)[0])
+
+
+def _haar_unitaries(d: int, count: int, rng: RngStream) -> np.ndarray:
+    """``(count, d, d)`` stack of Haar-random unitaries, checked at once.
+
+    One draw of ``count * d * d`` complex Gaussians and one stacked QR;
+    matrix ``i`` is bit-identical to the ``i``-th of ``count`` sequential
+    ``haar_unitary(d, rng)`` calls on the same stream.
+    """
+    q, r = np.linalg.qr(complex_gaussians(rng, (count, d, d)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    _check_unitary(q)
+    return q
 
 
 def apply(u: Unitary, psi: StateVector) -> StateVector:
@@ -269,9 +287,43 @@ def apply_local(u_small: Unitary, targets, psi: StateVector) -> StateVector:
         raise ValueError(
             f"gate dim {u_small.dim} does not match {k} target qubit(s)"
         )
-    arr = psi.amplitudes.reshape((2,) * n)
-    moved = np.moveaxis(arr, targets, range(k))
-    block = moved.reshape(2 ** k, -1)
-    out = (u_small.entries @ block).reshape((2,) * n)
-    out = np.moveaxis(out, range(k), targets)
-    return StateVector(out.reshape(-1))
+    return StateVector(_apply_gate(u_small.entries, targets, psi.amplitudes))
+
+
+@functools.lru_cache(maxsize=256)
+def _gate_layout(n: int, targets: tuple) -> tuple:
+    """Reshapes and axis orders that bring ``targets`` to the front.
+
+    Qubit axes that stay adjacent after the move are merged into one
+    axis, so both transposes copy over a few long axes, not n short ones.
+    Returns (shape, perm, moved shape, inverse perm).
+    """
+    order = list(targets) + [a for a in range(n) if a not in targets]
+    runs = []   # [first qubit, qubit count] in moved order
+    for a in order:
+        if runs and sum(runs[-1]) == a:
+            runs[-1][1] += 1
+        else:
+            runs.append([a, 1])
+    ordered = sorted(runs)
+    perm = tuple(ordered.index(run) for run in runs)
+    inverse = tuple(perm.index(i) for i in range(len(perm)))
+    return (tuple(2 ** c for _, c in ordered), perm,
+            tuple(2 ** c for _, c in runs), inverse)
+
+
+def _apply_gate(entries: np.ndarray, targets, amps: np.ndarray) -> np.ndarray:
+    """Gate kernel on raw arrays: ``entries`` on qubits ``targets`` of ``amps``.
+
+    No validation; ``apply_local`` states the contract. The target qubits
+    are moved to the front, the gate is one matrix product on the
+    resulting ``(2**k, 2**(n-k))`` block, and the qubits are moved back.
+    The block is the one an n-axis ``np.moveaxis`` builds, so the product
+    is bit-identical to it. A stacked product over a ``(2**q, 2**k, m)``
+    view would skip both copies, but it changed the last bit whenever m
+    was small (OpenBLAS picks other kernels for narrow operands).
+    """
+    shape, perm, moved, inverse = _gate_layout(amps.size.bit_length() - 1,
+                                               tuple(targets))
+    block = amps.reshape(shape).transpose(perm).reshape(entries.shape[0], -1)
+    return (entries @ block).reshape(moved).transpose(inverse).reshape(-1)

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +331,12 @@ class TestReproducibility:
         assert prov["numpy"] == np.__version__
         assert prov["scipy"] == scipy.__version__
 
+    def test_provenance_records_python_version(self, tmp_path):
+        out = tmp_path / "o.csv"
+        main(["packing", "bound", "--d", "100", "--eps", "0.1",
+              "--no-timestamp", "--output", str(out)])
+        assert f"# python={platform.python_version()}\n" in out.read_text()
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(
@@ -345,3 +354,26 @@ def test_unknown_flag_is_usage_error():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args):
+    """``python -m quasiortho`` from the source tree, without installing."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "quasiortho", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_runs_from_source():
+    proc = run_module("packing", "bound", "--d", "100", "--eps", "0.1",
+                      "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    assert "lower_bound=111" in proc.stdout
+
+
+def test_module_entry_point_bad_eps_is_usage_error():
+    proc = run_module("packing", "bound", "--d", "100", "--eps", "nan")
+    assert proc.returncode == 2
+    assert "eps" in proc.stderr

@@ -10,6 +10,7 @@ from quasiortho import (
     ReducedDensityMatrix,
     ResourceLimitError,
     RngStream,
+    StateVector,
     basis_state,
     generate_branches,
     gram_matrix,
@@ -23,6 +24,7 @@ from quasiortho import (
     suppression_experiment,
     typicality_ratio,
 )
+from quasiortho.states import Unitary, apply_local, haar_unitary
 from quasiortho.decoherence import ATYPICAL_RATIO, _pair_overlaps
 from quasiortho.overlap import EmpiricalSample
 
@@ -62,6 +64,77 @@ def dense_partial_trace(coeffs, branch_matrix):
         full += coeffs[i] * np.kron(sys_basis, branch_matrix[i])
     table = full.reshape(k, d_env)
     return np.einsum("ie,je->ij", table, table.conj())
+
+
+def per_gate_records(model, rng):
+    """Reference records, one validated gate and state per step.
+
+    Gates come from one ``haar_unitary(4)`` call each, layer by layer and
+    left to right, on pointer value i's ``rng.substream(i)``.
+    """
+    records = []
+    for i in range(model.pointer_count):
+        stream = rng.substream(i)
+        state = model.initial_state()
+        if model.dynamics == "chaotic-circuit":
+            for layer in range(model.depth):
+                for q in range(layer % 2, model.env_qubits - 1, 2):
+                    state = apply_local(haar_unitary(4, stream), (q, q + 1), state)
+        else:
+            c, s = math.cos(model.thetas[i] / 2), math.sin(model.thetas[i] / 2)
+            gate = Unitary(np.array([[c, -s], [s, c]], dtype=complex))
+            for q in range(model.env_qubits):
+                state = apply_local(gate, (q,), state)
+        records.append(state.amplitudes)
+    return records
+
+
+def non_basis_initial(n):
+    return haar_state(2 ** n, RngStream(404))
+
+
+class TestRecordsMatchPerGateReference:
+    """Batched draws and the raw-array gate loop change no bit."""
+
+    @pytest.mark.parametrize("model", [
+        MeasurementModel(pointer_count=2, coefficients=UNIFORM2, env_qubits=6,
+                         dynamics="chaotic-circuit", depth=7,
+                         env_initial=non_basis_initial(6)),
+        MeasurementModel(pointer_count=3, coefficients=np.full(3, 1 / math.sqrt(3)),
+                         env_qubits=5, dynamics="chaotic-circuit"),
+        MeasurementModel(pointer_count=2, coefficients=UNIFORM2, env_qubits=2,
+                         dynamics="chaotic-circuit", depth=1),
+        MeasurementModel(pointer_count=3, coefficients=np.full(3, 1 / math.sqrt(3)),
+                         env_qubits=7, dynamics="integrable-product",
+                         thetas=(0.0, 0.4, 2.9), env_initial=non_basis_initial(7)),
+        integrable_model(6, thetas=[0.1, 1.3]),
+    ], ids=["chaotic-depth7-initial", "chaotic-default", "chaotic-n2",
+            "integrable-initial", "integrable-basis"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_records_bit_identical(self, model, seed):
+        rng = RngStream(seed, 2)
+        got = generate_branches(model, rng).branches
+        want = per_gate_records(model, rng)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.amplitudes, w)
+
+    def test_suppression_outputs_bit_identical(self):
+        model = MeasurementModel(pointer_count=3,
+                                 coefficients=np.array([0.6, 0.64j, 0.48]),
+                                 env_qubits=4, dynamics="chaotic-circuit",
+                                 depth=5, env_initial=non_basis_initial(4))
+        rng = RngStream(31)
+        result = suppression_experiment(model, 30, rng)
+        for t in range(30):
+            records = BranchSet(
+                branches=tuple(StateVector(a) for a in
+                               per_gate_records(model, rng.substream(t))),
+                generation_record={})
+            assert np.array_equal(result.pair_overlaps[t],
+                                  _pair_overlaps(records))
+            assert result.max_coherences[t] == max_coherence(
+                reduced_density(model, records))
 
 
 class TestMeasurementModel:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -60,6 +61,35 @@ class TestBounds:
                 if log_m > 700:
                     continue
                 assert lower_bound(d, eps) == int(math.floor(math.exp(log_m)))
+
+    def test_lower_bound_floor_near_integers_matches_decimal(self):
+        # eps solved so that exp(x) lands on an integer N, then stepped a
+        # few ulps either way; the float exp() cannot decide these floors
+        def exact(d, eps):
+            with localcontext() as ctx:
+                ctx.prec = 80
+                x = Decimal(d - 1) / 2 * -(1 - Decimal(eps)).ln() - Decimal("0.5")
+                return x.exp()
+
+        near = 0
+        for d in (2, 3, 10, 57, 100, 4096, 10 ** 5):
+            for n in (1, 2, 7, 111, 123456, 10 ** 9):
+                eps = -math.expm1(-2.0 * (math.log(n) + 0.5) / (d - 1))
+                if eps > 0.999:
+                    continue
+                for _ in range(8):
+                    eps = math.nextafter(eps, 0.0)
+                for _ in range(17):
+                    value = exact(d, eps)
+                    floor = int(value.to_integral_value(rounding=ROUND_FLOOR))
+                    if abs(value - round(value)) <= Decimal("1e-9"):
+                        near += 1
+                        assert lower_bound(d, eps) == floor, (d, eps, value)
+                    eps = math.nextafter(eps, 1.0)
+        assert near >= 450
+        # numpy and integer-valued float inputs take the same exact path
+        assert lower_bound(np.int64(100), np.float64(0.1)) == 111
+        assert lower_bound(100.0, 0.1) == 111
 
     def test_lower_bound_overflow_raises(self):
         with pytest.raises(OverflowError):

@@ -21,6 +21,7 @@ from quasiortho import (
     tensor,
 )
 from quasiortho import limits
+from quasiortho.states import UNITARY_ATOL, _apply_gate, _check_unitary, _haar_unitaries
 
 
 def dense_local_matrix(u_small: np.ndarray, targets, n: int) -> np.ndarray:
@@ -185,6 +186,98 @@ class TestHaarUnitary:
                       for _ in range(n)])
         b = np.array([overlap_sq(haar_state(d, rng_b), e1) for _ in range(n)])
         assert ks_2samp(a, b).pvalue > 0.01
+
+
+class TestHaarUnitaryBatch:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_batch_equals_sequential_draws(self, d):
+        count = 13
+        batch = _haar_unitaries(d, count, RngStream(6, d))
+        stream = RngStream(6, d)
+        for u in batch:
+            assert np.array_equal(u, haar_unitary(d, stream).entries)
+        assert batch.shape == (count, d, d)
+
+    def test_batch_checks_every_gate(self, monkeypatch):
+        real_qr = np.linalg.qr
+
+        def qr_with_one_bad_gate(a):
+            q, r = real_qr(a)
+            q[2, 0, 0] *= 1.0 + 10 * UNITARY_ATOL
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", qr_with_one_bad_gate)
+        with pytest.raises(ValueError, match="not unitary"):
+            _haar_unitaries(4, 5, RngStream(9))
+
+    def test_batch_leaves_stream_where_sequential_draws_do(self):
+        a, b = RngStream(8), RngStream(8)
+        _haar_unitaries(4, 5, a)
+        for _ in range(5):
+            haar_unitary(4, b)
+        assert a.generator.standard_normal() == b.generator.standard_normal()
+
+
+class TestUnitaryStackCheck:
+    def stack(self):
+        return _haar_unitaries(4, 6, RngStream(12))
+
+    def test_unitary_stack_passes(self):
+        _check_unitary(self.stack())
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, 1.0, 1.0, 1.0 + 10 * UNITARY_ATOL]),   # just outside
+        np.full((4, 4), np.nan),
+        np.full((4, 4), np.inf),
+        np.full((4, 4), 1e200),                             # |U+U| overflows
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, bad):
+        # a ValueError, not a RuntimeWarning (warnings are errors here)
+        gates = self.stack()
+        gates[3] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_unitary(gates)
+
+    def test_unitary_constructor_uses_the_same_rule(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary(np.diag([1.0, 1.0 + 10 * UNITARY_ATOL]))
+        Unitary(np.diag([1.0, 1.0 + 0.1 * UNITARY_ATOL]))
+
+
+def moveaxis_reference(entries, targets, amps):
+    """Reference gate action: one n-axis ``np.moveaxis`` of the targets to
+    the front, one matrix product, and the inverse move."""
+    n = amps.size.bit_length() - 1
+    k = len(targets)
+    moved = np.moveaxis(amps.reshape((2,) * n), targets, range(k))
+    out = (entries @ moved.reshape(2 ** k, -1)).reshape((2,) * n)
+    return np.moveaxis(out, range(k), targets).reshape(-1)
+
+
+class TestGateKernel:
+    @pytest.mark.parametrize("targets", [
+        (7, 2), (2, 7), (9, 0), (0, 9), (4, 5), (5, 4), (8, 9), (0, 1),
+        (3,), (9,), (1, 6, 3),
+    ])
+    def test_bit_identical_to_moveaxis(self, targets):
+        rng = RngStream(21)
+        amps = haar_state(2 ** 10, rng).amplitudes
+        gate = haar_unitary(2 ** len(targets), rng).entries
+        assert np.array_equal(_apply_gate(gate, targets, amps),
+                              moveaxis_reference(gate, targets, amps))
+
+    def test_every_target_tuple_on_small_systems(self):
+        rng = RngStream(22)
+        for n in range(1, 6):
+            amps = haar_state(2 ** n, rng).amplitudes
+            for k in (1, 2, 3):
+                if k > n:
+                    continue
+                gate = haar_unitary(2 ** k, rng).entries
+                for targets in itertools.permutations(range(n), k):
+                    assert np.array_equal(
+                        _apply_gate(gate, targets, amps),
+                        moveaxis_reference(gate, targets, amps))
 
 
 class TestApply:
