@@ -46,6 +46,9 @@ CASES = {
     "packing_build_greedy": ["packing", "build", "--d", "64", "--eps", "0.2",
                              "--M", "50", "--method", "greedy", "--seed", "1",
                              "--family-csv", FAMILY_CSV],
+    "packing_build_random_family": ["packing", "build", "--d", "32",
+                                    "--eps", "0.4", "--M", "60", "--seed", "4",
+                                    "--family-csv", FAMILY_CSV],
     "decohere_exact_haar": ["decohere", "--n", "10", "--k", "2", "--dynamics",
                             "exact-haar", "--trials", "200", "--seed", "11"],
     "decohere_integrable": ["decohere", "--n", "10", "--dynamics",
