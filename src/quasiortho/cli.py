@@ -107,7 +107,7 @@ def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:
     columns = [f"{part}{k}" for k in range(family.dim) for part in ("re", "im")]
     # a complex128 row viewed as float64 is (re0, im0, re1, im1, ...)
     _write(path, "csv", prov, summary, columns,
-           family.matrix().view(np.float64).tolist())
+           family.rows.view(np.float64).tolist())
 
 
 def cmd_overlap_dist(args) -> int:
@@ -215,9 +215,12 @@ def cmd_packing_build(args) -> int:
         "trials": args.trials, "max_attempts": args.max_attempts,
     })
 
+    if args.max_attempts is not None and args.method != "greedy":
+        raise ValueError("--max-attempts applies to the greedy method only")
     if args.trials is not None:
-        if args.method != "random":
-            raise ValueError("--trials applies to the random method only")
+        if args.method != "random" or args.family_csv:
+            raise ValueError("--trials runs a random-method rate experiment; "
+                             "it takes no --method greedy or --family-csv")
         report = pk.success_rate_experiment(args.d, args.eps, args.M,
                                             args.trials, rng)
         success_fraction = 1.0 - report.statistic
@@ -232,7 +235,8 @@ def cmd_packing_build(args) -> int:
         return EXIT_PASS if report.passed else EXIT_STAT_FAIL
 
     if args.method == "greedy":
-        attempts = args.max_attempts or 100 * args.M
+        attempts = 100 * args.M if args.max_attempts is None \
+            else args.max_attempts
         family = pk.greedy_construct(args.d, args.eps, args.M, attempts, rng)
         success = family.size == args.M
         columns = ["d", "eps", "M_requested", "size", "max_pairwise", "success"]
@@ -265,12 +269,10 @@ def _build_model(args) -> dc.MeasurementModel:
         return dc.MeasurementModel.from_config(args.config)
     dynamics = {"integrable": "integrable-product"}.get(args.dynamics,
                                                         args.dynamics)
-    thetas = None
-    if dynamics == "integrable-product" and args.theta:
-        thetas = tuple(args.theta)
     k = args.k
     if k is None:
-        k = len(thetas) if thetas else (len(args.coeffs) if args.coeffs else 2)
+        k = len(args.theta) if args.theta else \
+            (len(args.coeffs) if args.coeffs else 2)
     if args.coeffs:
         coeffs = np.asarray(args.coeffs, dtype=complex)
     else:
@@ -283,7 +285,7 @@ def _build_model(args) -> dc.MeasurementModel:
         env_qubits=args.n,
         dynamics=dynamics,
         depth=args.depth,
-        thetas=thetas,
+        thetas=args.theta,
     )
 
 

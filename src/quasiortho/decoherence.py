@@ -33,8 +33,9 @@ import numpy as np
 
 from . import limits
 from .rng import RngStream
-from .states import (StateVector, Unitary, _apply_gate, _haar_unitaries,
-                     basis_state, haar_state, pairwise_overlap_sq)
+from .states import (StateVector, Unitary, _apply_gate, _check_unitary,
+                     _haar_unitaries, basis_state, haar_state,
+                     pairwise_overlap_sq)
 from .validate import integer, real
 
 __all__ = [
@@ -217,8 +218,8 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
     of evaluation order. A chaotic-circuit branch draws all its gates in
     one ``_haar_unitaries`` batch, layer by layer and left to right
     within a layer; the batch is bit-identical to one ``haar_unitary(4)``
-    call per gate in that order. Gates act on the raw amplitudes, and
-    each finished record is validated once as a ``StateVector``.
+    call per gate in that order, and is checked once. Gates act on the
+    raw amplitudes; each finished record is validated as a ``StateVector``.
     """
     n = model.env_qubits
     sites = []
@@ -226,6 +227,8 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
         # brickwork: even layers pair (0, 1), (2, 3), ...; odd ones (1, 2), ...
         sites = [(q, q + 1) for layer in range(model.depth)
                  for q in range(layer % 2, n - 1, 2)]
+    initial = None if model.dynamics == "exact-haar" else \
+        model.initial_state().amplitudes
     branches = []
     for i in range(model.pointer_count):
         stream = rng.substream(i)
@@ -234,9 +237,10 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
             # initial state, at O(2^n) rather than O(2^3n) cost.
             branches.append(haar_state(model.env_dim, stream))
             continue
-        amps = model.initial_state().amplitudes
+        amps = initial
         if model.dynamics == "chaotic-circuit":
             gates = _haar_unitaries(4, len(sites), stream)
+            _check_unitary(gates)
             for gate, targets in zip(gates, sites):
                 amps = _apply_gate(gate, targets, amps)
         else:  # integrable-product

@@ -20,7 +20,8 @@ from scipy.stats import norm as _norm
 from . import limits
 from .overlap import TestReport
 from .rng import RngStream
-from .states import StateVector, complex_gaussians, pairwise_overlap_sq
+from .states import (StateVector, _check_unit_rows, _haar_rows,
+                     pairwise_overlap_sq)
 from .validate import integer, real
 
 __all__ = [
@@ -119,7 +120,8 @@ def union_bound_failure(d: int, eps: float, m: int) -> float:
 
 @dataclass
 class QuasiOrthogonalFamily:
-    """Unit vectors with a certified maximum pairwise squared overlap.
+    """Unit vectors, the rows of one read-only ``(size, dim)`` matrix,
+    with a certified maximum pairwise squared overlap.
 
     ``max_pairwise`` is None until :func:`verify` (or a certifying
     constructor) sets it; a singleton family has max_pairwise 0 by
@@ -128,24 +130,29 @@ class QuasiOrthogonalFamily:
 
     dim: int
     eps: float
-    vectors: list[StateVector]
+    rows: np.ndarray
     max_pairwise: float | None = None
 
     def __post_init__(self):
         self.dim = integer("dim", self.dim, 1)
         self.eps = real("eps", self.eps, 0.0, 1.0, hi_open=True)
-        if not self.vectors:
-            raise ValueError("family must contain at least one vector")
-        if any(v.dim != self.dim for v in self.vectors):
-            raise ValueError("all family vectors must share the family dim")
+        rows = np.ascontiguousarray(self.rows, dtype=np.complex128)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != self.dim:
+            raise ValueError(
+                f"family rows must be a non-empty (size, {self.dim}) matrix")
+        limits.check_state_dim(self.dim)
+        _check_unit_rows(rows)
+        rows.setflags(write=False)
+        self.rows = rows
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return self.rows.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        """Stacked amplitudes, one vector per row."""
-        return np.vstack([v.amplitudes for v in self.vectors])
+    @property
+    def vectors(self) -> list[StateVector]:
+        """The rows as ``StateVector`` objects, built on each access."""
+        return [StateVector(row) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -190,11 +197,6 @@ def _pairwise_stats(mat: np.ndarray, eps: float):
     return max_pairwise, (row, first_bad - int(starts[row]) + row + 1)
 
 
-def _sample_rows(d: int, m: int, rng: RngStream) -> np.ndarray:
-    g = complex_gaussians(rng, (m, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 def random_coding_construct(d: int, eps: float, m: int,
                             rng: RngStream) -> PackingReport:
     """Sample M Haar states and certify all pairwise squared overlaps.
@@ -209,16 +211,12 @@ def random_coding_construct(d: int, eps: float, m: int,
     limits.check_state_dim(d)
     limits.check_sample_count(m * d)
     limits.check_pairwise_ops(m, d)
-    mat = _sample_rows(d, m, rng)
+    mat = _haar_rows(d, m, rng)
     max_pairwise, failure_pair = _pairwise_stats(mat, eps)
     success = max_pairwise <= eps
-    family = None
-    if success:
-        family = QuasiOrthogonalFamily(
-            dim=d, eps=eps,
-            vectors=[StateVector(row) for row in mat],
-            max_pairwise=max_pairwise,
-        )
+    family = (QuasiOrthogonalFamily(dim=d, eps=eps, rows=mat,
+                                    max_pairwise=max_pairwise)
+              if success else None)
     return PackingReport(
         d=d, eps=eps, m_requested=m, success=success,
         max_pairwise=max_pairwise, failure_pair=failure_pair,
@@ -244,7 +242,7 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     buffer = np.empty((target_m, d), dtype=np.complex128)
     size = 0
     for _ in range(max_attempts):
-        row = _sample_rows(d, 1, rng)[0]
+        row = _haar_rows(d, 1, rng)[0]
         if size and np.max(np.abs(buffer[:size] @ row.conj()) ** 2) > eps:
             continue
         buffer[size] = row
@@ -253,17 +251,14 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
             break
     accepted = buffer[:size]
     max_pairwise, _ = _pairwise_stats(accepted, eps)
-    return QuasiOrthogonalFamily(
-        dim=d, eps=eps,
-        vectors=[StateVector(row) for row in accepted],
-        max_pairwise=max_pairwise,
-    )
+    return QuasiOrthogonalFamily(dim=d, eps=eps, rows=accepted,
+                                 max_pairwise=max_pairwise)
 
 
 def verify(family: QuasiOrthogonalFamily) -> tuple[float, bool]:
     """Exact all-pairs certification; updates ``family.max_pairwise``."""
     limits.check_pairwise_ops(family.size, family.dim)
-    max_pairwise, _ = _pairwise_stats(family.matrix(), family.eps)
+    max_pairwise, _ = _pairwise_stats(family.rows, family.eps)
     family.max_pairwise = max_pairwise
     return max_pairwise, max_pairwise <= family.eps
 
@@ -281,10 +276,13 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     d = integer("d", d, 1)
     eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     m = integer("M", m, 2)
+    limits.check_state_dim(d)
+    limits.check_sample_count(m * d)
+    limits.check_pairwise_ops(m, d)
     ub = union_bound_failure(d, eps, m)
     failures = 0
     for t in range(trials):
-        mat = _sample_rows(d, m, rng.substream(t))
+        mat = _haar_rows(d, m, rng.substream(t))
         max_pairwise, _ = _pairwise_stats(mat, eps)
         if max_pairwise > eps:
             failures += 1

@@ -69,15 +69,7 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
         limits.check_state_dim(amps.size)
-        # amplitudes near 1e200 overflow to inf, which must reach the
-        # ValueError below rather than a RuntimeWarning
-        with np.errstate(over="ignore"):
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:
-            raise ValueError(
-                f"state not normalized: squared norm {norm_sq!r} "
-                f"deviates from 1 by more than {NORM_ATOL}"
-            )
+        _check_unit_rows(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -112,6 +104,16 @@ class Unitary:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_unit_rows(rows: np.ndarray) -> None:
+    """Raise ValueError unless every row of a ``(..., d)`` stack has
+    squared norm 1 within ``NORM_ATOL``; NaN, inf and amplitudes whose
+    square overflows (near 1e200) raise it too, not a RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        defect = abs((abs(rows) ** 2).sum(-1) - 1.0).max()
+    if not defect <= NORM_ATOL:
+        raise ValueError(f"state not normalized: |norm^2 - 1| = {defect!r}")
 
 
 def _check_unitary(mats: np.ndarray) -> None:
@@ -162,8 +164,15 @@ def haar_state(d: int, rng: RngStream) -> StateVector:
     """
     d = integer("d", d, 1)
     limits.check_state_dim(d)
-    g = complex_gaussians(rng, d)
-    return StateVector(g / np.linalg.norm(g))
+    return StateVector(_haar_rows(d, 1, rng)[0])
+
+
+def _haar_rows(d: int, m: int, rng: RngStream) -> np.ndarray:
+    """``(m, d)`` Haar-random unit rows from one Gaussian draw, not
+    validated; row i is bit-identical to the i-th of m sequential
+    ``haar_state(d, rng)`` calls on the same stream."""
+    g = complex_gaussians(rng, (m, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def inner(psi: StateVector, phi: StateVector) -> complex:
@@ -234,7 +243,7 @@ def haar_unitary(d: int, rng: RngStream) -> Unitary:
 
 
 def _haar_unitaries(d: int, count: int, rng: RngStream) -> np.ndarray:
-    """``(count, d, d)`` stack of Haar-random unitaries, checked at once.
+    """``(count, d, d)`` stack of Haar-random unitaries; callers check it.
 
     One draw of ``count * d * d`` complex Gaussians and one stacked QR;
     matrix ``i`` is bit-identical to the ``i``-th of ``count`` sequential
@@ -242,9 +251,7 @@ def _haar_unitaries(d: int, count: int, rng: RngStream) -> np.ndarray:
     """
     q, r = np.linalg.qr(complex_gaussians(rng, (count, d, d)))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[..., None, :]
-    _check_unitary(q)
-    return q
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def apply(u: Unitary, psi: StateVector) -> StateVector:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy
 
+import quasiortho.limits
+import quasiortho.states
 from quasiortho import RngStream, greedy_construct
 from quasiortho.cli import main
 
@@ -174,7 +176,14 @@ class TestPackingBuild:
         family = greedy_construct(32, 0.3, 10, 1000, RngStream(6))
         cells = np.array([[float(c) for c in ln.split(",")] for ln in table[1:]])
         rebuilt = cells[:, 0::2] + 1j * cells[:, 1::2]
-        assert np.allclose(rebuilt, family.matrix(), rtol=0, atol=1e-15)
+        assert np.allclose(rebuilt, family.rows, rtol=0, atol=1e-15)
+
+    def test_rate_experiment_over_a_cap_is_resource_error(self, monkeypatch):
+        # 3 vectors at d=16 are 144 pair ops
+        monkeypatch.setattr(quasiortho.limits, "MAX_PAIRWISE_OPS", 100)
+        assert main(["packing", "build", "--d", "16", "--eps", "0.9",
+                     "--M", "3", "--trials", "30", "--seed", "1",
+                     "--no-timestamp"]) == 3
 
 
 class TestDecohere:
@@ -346,6 +355,33 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "lower_bound=111" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["decohere", "--n", "4", "--dynamics", "exact-haar",
+     "--theta", "0.1", "0.2"],
+    ["decohere", "--n", "4", "--k", "2", "--dynamics", "chaotic-circuit",
+     "--theta", "0.1", "0.2"],
+    ["packing", "build", "--d", "16", "--eps", "0.5", "--M", "3",
+     "--max-attempts", "7"],
+    ["packing", "build", "--d", "16", "--eps", "0.5", "--M", "3",
+     "--trials", "30", "--max-attempts", "7"],
+    ["packing", "build", "--d", "16", "--eps", "0.5", "--M", "3",
+     "--trials", "30", "--family-csv", "{family_csv}"],
+    ["packing", "build", "--d", "16", "--eps", "0.5", "--M", "3",
+     "--method", "greedy", "--max-attempts", "0"],
+])
+def test_flag_without_effect_is_usage_error_before_drawing(argv, monkeypatch,
+                                                          tmp_path):
+    draws = []
+    real = quasiortho.states.complex_gaussians
+    monkeypatch.setattr(quasiortho.states, "complex_gaussians",
+                        lambda *a: draws.append(a) or real(*a))
+    family_csv = tmp_path / "family.csv"
+    argv = [str(family_csv) if a == "{family_csv}" else a for a in argv]
+    assert main(argv + ["--seed", "1", "--no-timestamp"]) == 2
+    assert draws == []
+    assert not family_csv.exists()
 
 
 def test_unknown_flag_is_usage_error():

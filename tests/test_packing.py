@@ -11,6 +11,7 @@ from quasiortho import (
     QuasiOrthogonalFamily,
     ResourceLimitError,
     RngStream,
+    StateVector,
     basis_state,
     greedy_construct,
     log_lower_bound,
@@ -23,8 +24,9 @@ from quasiortho import (
     union_bound_failure,
     verify,
 )
-from quasiortho.packing import _pairwise_stats, _sample_rows
-from quasiortho.states import pairwise_overlap_sq
+from quasiortho import limits
+from quasiortho.packing import _pairwise_stats
+from quasiortho.states import _haar_rows, pairwise_overlap_sq
 
 # Extended-precision oracle values (mpmath, 60 digits)
 LOG_BOUND_100_01 = 4.71534552506240       # (99/2)(-ln 0.9) - 1/2
@@ -240,17 +242,17 @@ class TestGreedyConstruct:
 class TestVerify:
     def test_orthonormal_basis_passes_any_eps(self):
         d = 16
-        vectors = [basis_state(d, k) for k in range(d)]
+        rows = np.eye(d)
         for eps in (0.0, 0.1, 0.9):
-            fam = QuasiOrthogonalFamily(dim=d, eps=eps, vectors=vectors)
+            fam = QuasiOrthogonalFamily(dim=d, eps=eps, rows=rows)
             max_pairwise, ok = verify(fam)
             assert max_pairwise == 0.0
             assert ok
             assert fam.max_pairwise == 0.0
 
     def test_duplicate_vector_fails(self):
-        v = basis_state(8, 2)
-        fam = QuasiOrthogonalFamily(dim=8, eps=0.5, vectors=[v, v])
+        v = basis_state(8, 2).amplitudes
+        fam = QuasiOrthogonalFamily(dim=8, eps=0.5, rows=[v, v])
         max_pairwise, ok = verify(fam)
         assert not ok
         assert max_pairwise == pytest.approx(1.0, abs=1e-12)
@@ -268,7 +270,34 @@ class TestVerify:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             QuasiOrthogonalFamily(dim=4, eps=0.1,
-                                  vectors=[basis_state(4), basis_state(8)])
+                                  rows=[basis_state(4).amplitudes,
+                                        basis_state(8).amplitudes])
+        # rows whose length is not dim
+        with pytest.raises(ValueError):
+            QuasiOrthogonalFamily(dim=4, eps=0.1, rows=np.eye(8)[:2])
+
+
+class TestFamilyRows:
+    def test_random_build_keeps_the_sampled_rows(self):
+        report = random_coding_construct(32, 0.4, 60, RngStream(4))
+        fam = report.family
+        assert np.array_equal(fam.rows, _haar_rows(32, 60, RngStream(4)))
+        assert fam.rows.shape == (fam.size, fam.dim) == (60, 32)
+        assert not fam.rows.flags.writeable
+
+    def test_vectors_are_built_from_the_rows(self):
+        fam = greedy_construct(16, 0.5, 5, 100, RngStream(8))
+        vectors = fam.vectors
+        assert len(vectors) == fam.size
+        for v, row in zip(vectors, fam.rows):
+            assert isinstance(v, StateVector)
+            assert np.array_equal(v.amplitudes, row)
+
+    @pytest.mark.parametrize("rows", [np.zeros((0, 4)), np.ones(4) / 2,
+                                      np.ones((2, 4))])
+    def test_rejects_empty_flat_or_non_unit_rows(self, rows):
+        with pytest.raises(ValueError):
+            QuasiOrthogonalFamily(dim=4, eps=0.1, rows=rows)
 
 
 def dense_pairwise_stats(mat, eps):
@@ -288,14 +317,14 @@ class TestPairwiseKernel:
     # at d = 4, M = 2100 spans 5 Gram blocks of the kernel
     @pytest.mark.parametrize("m", [1, 2, 3, 2100])
     def test_matches_dense_gram_exactly(self, m):
-        mat = _sample_rows(4, m, RngStream(16))
+        mat = _haar_rows(4, m, RngStream(16))
         vals = (np.abs(mat @ mat.conj().T) ** 2)[np.triu_indices(m, k=1)]
         # at the three largest values the first violation moves late
         for eps in [0.0, 0.5, *np.sort(vals)[-3:]]:
             assert _pairwise_stats(mat, eps) == dense_pairwise_stats(mat, eps)
 
     def test_first_violation_found_past_the_first_block(self):
-        mat = _sample_rows(4, 2100, RngStream(16))
+        mat = _haar_rows(4, 2100, RngStream(16))
         assert len(list(pairwise_overlap_sq(mat))) > 1
         mat[1700] = mat[1500]  # overlap 1, in the fourth block
         max_pairwise, pair = _pairwise_stats(mat, 0.999)
@@ -303,7 +332,7 @@ class TestPairwiseKernel:
         assert (max_pairwise, pair) == dense_pairwise_stats(mat, 0.999)
 
     def test_memory_is_blocked(self):
-        mat = _sample_rows(4, 4000, RngStream(17))
+        mat = _haar_rows(4, 4000, RngStream(17))
         tracemalloc.start()
         try:
             _pairwise_stats(mat, 0.5)
@@ -342,3 +371,14 @@ class TestSuccessRateExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             success_rate_experiment(8, 0.5, 2, 10, RngStream(0))
+
+    @pytest.mark.parametrize("cap, value", [("MAX_STATE_DIM", 8),
+                                            ("MAX_SAMPLE_COUNT", 40),
+                                            ("MAX_PAIRWISE_OPS", 100)])
+    def test_enforces_the_caps_of_one_build(self, monkeypatch, cap, value):
+        # one build at d=16, M=3: state dim 16, 48 samples, 144 pair ops
+        monkeypatch.setattr(limits, cap, value)
+        with pytest.raises(ResourceLimitError):
+            random_coding_construct(16, 0.9, 3, RngStream(0))
+        with pytest.raises(ResourceLimitError):
+            success_rate_experiment(16, 0.9, 3, 30, RngStream(0))

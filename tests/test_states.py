@@ -20,8 +20,11 @@ from quasiortho import (
     overlap_sq,
     tensor,
 )
-from quasiortho import limits
-from quasiortho.states import UNITARY_ATOL, _apply_gate, _check_unitary, _haar_unitaries
+from quasiortho import QuasiOrthogonalFamily, limits
+from quasiortho.decoherence import MeasurementModel, generate_branches
+from quasiortho.states import (NORM_ATOL, UNITARY_ATOL, _apply_gate,
+                               _check_unit_rows, _check_unitary, _haar_rows,
+                               _haar_unitaries)
 
 
 def dense_local_matrix(u_small: np.ndarray, targets, n: int) -> np.ndarray:
@@ -199,16 +202,25 @@ class TestHaarUnitaryBatch:
         assert batch.shape == (count, d, d)
 
     def test_batch_checks_every_gate(self, monkeypatch):
+        # the sampler checks nothing; each of its callers checks every gate
         real_qr = np.linalg.qr
 
-        def qr_with_one_bad_gate(a):
-            q, r = real_qr(a)
-            q[2, 0, 0] *= 1.0 + 10 * UNITARY_ATOL
-            return q, r
+        def spoil(index):
+            def qr_with_one_bad_gate(a):
+                q, r = real_qr(a)
+                q[index, 0, 0] *= 1.0 + 10 * UNITARY_ATOL
+                return q, r
+            monkeypatch.setattr(np.linalg, "qr", qr_with_one_bad_gate)
 
-        monkeypatch.setattr(np.linalg, "qr", qr_with_one_bad_gate)
+        # n=4 at depth 3 is a brickwork of 2 + 1 + 2 gates per branch
+        model = MeasurementModel(2, [0.6, 0.8], 4, "chaotic-circuit", depth=3)
+        for index in (0, 2, 4):
+            spoil(index)
+            with pytest.raises(ValueError, match="not unitary"):
+                generate_branches(model, RngStream(9))
+        spoil(0)
         with pytest.raises(ValueError, match="not unitary"):
-            _haar_unitaries(4, 5, RngStream(9))
+            haar_unitary(4, RngStream(9))
 
     def test_batch_leaves_stream_where_sequential_draws_do(self):
         a, b = RngStream(8), RngStream(8)
@@ -242,6 +254,51 @@ class TestUnitaryStackCheck:
         with pytest.raises(ValueError, match="not unitary"):
             Unitary(np.diag([1.0, 1.0 + 10 * UNITARY_ATOL]))
         Unitary(np.diag([1.0, 1.0 + 0.1 * UNITARY_ATOL]))
+
+
+class TestHaarRows:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 64, 1024])
+    def test_rows_equal_sequential_haar_states(self, d):
+        m = 7
+        rows = _haar_rows(d, m, RngStream(14, d))
+        stream = RngStream(14, d)
+        for row in rows:
+            assert np.array_equal(row, haar_state(d, stream).amplitudes)
+        assert rows.shape == (m, d)
+        # and leave the stream where the sequential draws do
+        assert (RngStream(14, d).generator.standard_normal(2 * m * d + 1)[-1]
+                == stream.generator.standard_normal())
+
+
+class TestUnitRowCheck:
+    def stack(self):
+        return _haar_rows(8, 6, RngStream(13))
+
+    def test_unit_rows_pass(self):
+        _check_unit_rows(self.stack())
+        _check_unit_rows(self.stack().reshape(2, 3, 8))
+
+    @pytest.mark.parametrize("bad", [
+        np.sqrt(1.0 + 10 * NORM_ATOL) * np.eye(8)[0],   # just outside
+        np.sqrt(1.0 - 10 * NORM_ATOL) * np.eye(8)[0],
+        np.full(8, np.nan),
+        np.full(8, np.inf),
+        np.full(8, 1e200),                              # |a|^2 overflows
+    ])
+    def test_one_bad_row_fails_the_stack(self, bad):
+        # a ValueError, not a RuntimeWarning (warnings are errors here)
+        rows = self.stack()
+        rows[3] = bad
+        with pytest.raises(ValueError, match="not normalized"):
+            _check_unit_rows(rows)
+        with pytest.raises(ValueError, match="not normalized"):
+            QuasiOrthogonalFamily(dim=8, eps=0.5, rows=rows)
+
+    def test_state_vector_uses_the_same_rule(self):
+        e0 = np.eye(8)[0]
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(np.sqrt(1.0 + 10 * NORM_ATOL) * e0)
+        StateVector(np.sqrt(1.0 + 0.1 * NORM_ATOL) * e0)
 
 
 def moveaxis_reference(entries, targets, amps):

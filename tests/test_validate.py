@@ -176,7 +176,7 @@ ENTRY_POINTS = {
     "qubit_capacity_log": (pk.qubit_capacity_log, (5, 0.1)),
     "union_bound_failure": (pk.union_bound_failure, (100, 0.1, 10)),
     "QuasiOrthogonalFamily": (
-        lambda d, e: pk.QuasiOrthogonalFamily(d, e, [sv.basis_state(4)]),
+        lambda d, e: pk.QuasiOrthogonalFamily(d, e, np.eye(4)[:1]),
         (4, 0.1)),
     "random_coding_construct": (
         lambda d, e, m: pk.random_coding_construct(d, e, m, RngStream(0)),
