@@ -266,9 +266,16 @@ def cmd_packing_build(args) -> int:
 
 def _build_model(args) -> dc.MeasurementModel:
     if args.config:
+        flags = {"--n": args.n, "--k": args.k, "--dynamics": args.dynamics,
+                 "--theta": args.theta, "--depth": args.depth,
+                 "--coeffs": args.coeffs}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"--config sets the whole model; it takes no "
+                             f"{', '.join(given)}")
         return dc.MeasurementModel.from_config(args.config)
-    dynamics = {"integrable": "integrable-product"}.get(args.dynamics,
-                                                        args.dynamics)
+    dynamics = {None: "exact-haar", "integrable": "integrable-product"}.get(
+        args.dynamics, args.dynamics)
     k = args.k
     if k is None:
         k = len(args.theta) if args.theta else \
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dynamics",
                    choices=("exact-haar", "chaotic-circuit",
                             "integrable", "integrable-product"),
-                   default="exact-haar")
+                   default=None, help="default exact-haar")
     p.add_argument("--theta", type=float, nargs="+", default=None,
                    help="per-pointer rotation angles (integrable dynamics)")
     p.add_argument("--depth", type=int, default=None,
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pointer amplitudes (default uniform)")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--config", metavar="PATH", default=None,
-                   help="JSON measurement-model config (overrides flags)")
+                   help="JSON measurement-model config; takes no model flags")
     _add_common(p)
     p.set_defaults(func=cmd_decohere)
 

@@ -43,6 +43,9 @@ __all__ = [
 
 # Minimum sample size for the asymptotic Kolmogorov critical value.
 KS_MIN_SAMPLES = 100
+# Complex entries per draw of sample_overlaps (2 MB, about an L2 cache),
+# so the sampler holds O(n_samples + d) memory whatever the sample size.
+_SAMPLE_CHUNK_ENTRIES = 1 << 17
 
 
 def pdf(d: int, x):
@@ -207,14 +210,19 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     n_samples = integer("n_samples", n_samples, 1)
     # draws are chunked, so only the output size needs capping
     limits.check_sample_count(n_samples)
-    chunk_rows = max(1, (1 << 22) // d)
+    chunk_rows = max(1, _SAMPLE_CHUNK_ENTRIES // d)
     out = np.empty(n_samples, dtype=float)
     done = 0
     while done < n_samples:
         rows = min(chunk_rows, n_samples - done)
-        g = complex_gaussians(rng, (rows, d))
-        norms = np.sum(np.abs(g) ** 2, axis=1)
-        out[done:done + rows] = np.abs(g[:, 0]) ** 2 / norms
+        # squared real and imaginary parts, in place on the real view of
+        # the draw; the common 1/2 scale of the Gaussians cancels
+        x = complex_gaussians(rng, (rows, d)).view(np.float64)
+        np.square(x, out=x)
+        # a row sum over the contiguous axis gives each row the same bits
+        # in any chunk; einsum("ij,ij->i") does not, as it sums a lone row
+        # in 8192-entry pieces once 2d exceeds that
+        out[done:done + rows] = (x[:, 0] + x[:, 1]) / x.sum(axis=1)
         done += rows
     out.sort()
     return EmpiricalSample(dim=d, values=out,

@@ -123,6 +123,10 @@ class QuasiOrthogonalFamily:
     """Unit vectors, the rows of one read-only ``(size, dim)`` matrix,
     with a certified maximum pairwise squared overlap.
 
+    ``rows`` is a read-only view of a contiguous complex128 input, which
+    is not copied: the caller's array stays writable, and writing to it
+    later changes the family unchecked.
+
     ``max_pairwise`` is None until :func:`verify` (or a certifying
     constructor) sets it; a singleton family has max_pairwise 0 by
     convention.
@@ -136,7 +140,7 @@ class QuasiOrthogonalFamily:
     def __post_init__(self):
         self.dim = integer("dim", self.dim, 1)
         self.eps = real("eps", self.eps, 0.0, 1.0, hi_open=True)
-        rows = np.ascontiguousarray(self.rows, dtype=np.complex128)
+        rows = np.ascontiguousarray(self.rows, dtype=np.complex128).view()
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != self.dim:
             raise ValueError(
                 f"family rows must be a non-empty (size, {self.dim}) matrix")

@@ -59,13 +59,16 @@ class StateVector:
     """Unit vector in a d-dimensional complex Hilbert space.
 
     Construction validates the dimension cap and that the squared norm is
-    1 within ``NORM_ATOL``; the amplitude buffer is frozen afterwards.
+    1 within ``NORM_ATOL``. ``amplitudes`` is a read-only view of a
+    contiguous complex128 input, which is not copied: the caller's array
+    stays writable, and writing to it later changes the state unchecked.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        amps = np.ascontiguousarray(self.amplitudes,
+                                    dtype=np.complex128).view()
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
         limits.check_state_dim(amps.size)
@@ -136,7 +139,11 @@ def complex_gaussians(rng: RngStream, shape) -> np.ndarray:
     """
     dims = tuple(integer("shape entry", n, 0) for n in np.atleast_1d(shape))
     z = rng.generator.standard_normal(dims + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    # the trailing (re, im) pair is complex128's own layout, so the view
+    # and the in-place divide make no temporaries
+    g = z.view(np.complex128)[..., 0]
+    g /= np.sqrt(2.0)
+    return g
 
 
 def basis_state(d: int, index: int = 0) -> StateVector:

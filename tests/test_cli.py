@@ -370,6 +370,12 @@ def test_console_script_entry_point():
      "--trials", "30", "--family-csv", "{family_csv}"],
     ["packing", "build", "--d", "16", "--eps", "0.5", "--M", "3",
      "--method", "greedy", "--max-attempts", "0"],
+    ["decohere", "--config", "{config}", "--n", "9"],
+    ["decohere", "--config", "{config}", "--k", "5"],
+    ["decohere", "--config", "{config}", "--dynamics", "exact-haar"],
+    ["decohere", "--config", "{config}", "--theta", "0.1", "0.2"],
+    ["decohere", "--config", "{config}", "--depth", "3"],
+    ["decohere", "--config", "{config}", "--coeffs", "0.8", "0.6"],
 ])
 def test_flag_without_effect_is_usage_error_before_drawing(argv, monkeypatch,
                                                           tmp_path):
@@ -378,7 +384,12 @@ def test_flag_without_effect_is_usage_error_before_drawing(argv, monkeypatch,
     monkeypatch.setattr(quasiortho.states, "complex_gaussians",
                         lambda *a: draws.append(a) or real(*a))
     family_csv = tmp_path / "family.csv"
-    argv = [str(family_csv) if a == "{family_csv}" else a for a in argv]
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"pointer_count": 2,
+                                  "coefficients": [0.8, 0.6],
+                                  "env_qubits": 4, "dynamics": "exact-haar"}))
+    paths = {"{family_csv}": str(family_csv), "{config}": str(config)}
+    argv = [paths.get(a, a) for a in argv]
     assert main(argv + ["--seed", "1", "--no-timestamp"]) == 2
     assert draws == []
     assert not family_csv.exists()

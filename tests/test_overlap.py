@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import quasiortho.overlap
 from quasiortho import (
     EmpiricalSample,
     OverlapDistribution,
@@ -28,6 +30,7 @@ from quasiortho import (
     two_sided_exact_tail,
     wilson_interval,
 )
+from quasiortho.states import complex_gaussians
 
 # Extended-precision oracle values (mpmath, 60 digits)
 SURVIVAL_1024_0005 = 5.92941165747416e-3      # (0.995)^1023
@@ -227,6 +230,46 @@ class TestSampleOverlaps:
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         pairs = np.abs(np.sum(a.conj() * b, axis=1)) ** 2
         assert ks_2samp(fixed_ref, pairs).pvalue > 0.01
+
+    @staticmethod
+    def unchunked(d, n, rng):
+        """One draw of all n rows, reduced the way the sampler reduces."""
+        x = complex_gaussians(rng, (n, d)).view(np.float64)
+        np.square(x, out=x)
+        return np.sort((x[:, 0] + x[:, 1]) / x.sum(axis=1))
+
+    @pytest.mark.parametrize("d, entries", [
+        (16, 16 * 5),    # 5 rows per chunk, 23 = 4 x 5 + 3
+        (16, 8),         # d above the constant: one row per chunk
+        (3, 2),
+        (5000, 5000 * 2),   # 23 = 11 x 2 + 1: a lone row with 2d > 8192
+    ])
+    def test_chunking_does_not_change_values(self, d, entries, monkeypatch):
+        n = 23
+        want = self.unchunked(d, n, RngStream(31, d))
+        monkeypatch.setattr(quasiortho.overlap, "_SAMPLE_CHUNK_ENTRIES",
+                            entries)
+        got = sample_overlaps(d, n, RngStream(31, d)).values
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 1024])
+    def test_matches_the_complex_formula(self, d):
+        # the reference is |g_0|^2 / sum |g|^2 on the complex draw; only
+        # the summation order differs, so a few float64 ulps separate them
+        n = 2000
+        g = complex_gaussians(RngStream(32, d), (n, d))
+        ref = np.sort(np.abs(g[:, 0]) ** 2 / np.sum(np.abs(g) ** 2, axis=1))
+        got = sample_overlaps(d, n, RngStream(32, d)).values
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_memory_is_chunked(self):
+        tracemalloc.start()
+        try:
+            sample_overlaps(1024, 20_000, RngStream(33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -293,6 +293,15 @@ class TestFamilyRows:
             assert isinstance(v, StateVector)
             assert np.array_equal(v.amplitudes, row)
 
+    def test_callers_matrix_stays_writable(self):
+        a = np.eye(4, dtype=np.complex128)[:2].copy()
+        fam = QuasiOrthogonalFamily(dim=4, eps=0.1, rows=a)
+        assert not fam.rows.flags.writeable
+        with pytest.raises(ValueError):
+            fam.rows[0, 0] = 2.0
+        a[0, 0] = 2.0
+        assert a.flags.writeable
+
     @pytest.mark.parametrize("rows", [np.zeros((0, 4)), np.ones(4) / 2,
                                       np.ones((2, 4))])
     def test_rejects_empty_flat_or_non_unit_rows(self, rows):

@@ -24,7 +24,7 @@ from quasiortho import QuasiOrthogonalFamily, limits
 from quasiortho.decoherence import MeasurementModel, generate_branches
 from quasiortho.states import (NORM_ATOL, UNITARY_ATOL, _apply_gate,
                                _check_unit_rows, _check_unitary, _haar_rows,
-                               _haar_unitaries)
+                               _haar_unitaries, complex_gaussians)
 
 
 def dense_local_matrix(u_small: np.ndarray, targets, n: int) -> np.ndarray:
@@ -69,6 +69,16 @@ class TestStateVector:
         s = basis_state(4, 1)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 1.0
+
+    def test_callers_array_stays_writable(self):
+        a = np.zeros(4, dtype=np.complex128)
+        a[0] = 1.0
+        s = StateVector(a)
+        assert not s.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            s.amplitudes[1] = 2.0
+        a[1] = 2.0
+        assert a.flags.writeable
 
 
 class TestInnerAndOverlap:
@@ -254,6 +264,31 @@ class TestUnitaryStackCheck:
         with pytest.raises(ValueError, match="not unitary"):
             Unitary(np.diag([1.0, 1.0 + 10 * UNITARY_ATOL]))
         Unitary(np.diag([1.0, 1.0 + 0.1 * UNITARY_ATOL]))
+
+
+def complex_gaussians_reference(rng, shape):
+    """The sum-and-divide form ``complex_gaussians`` replaced."""
+    z = rng.generator.standard_normal(tuple(np.atleast_1d(shape).astype(int))
+                                      + (2,))
+    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+
+
+class TestComplexGaussians:
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 5), (7,), (50, 4, 4),
+                                       (8, 2 ** 14), (4096, 1024)])
+    def test_bytes_equal_the_reference(self, shape):
+        g = complex_gaussians(RngStream(5, len(shape)), shape)
+        ref = complex_gaussians_reference(RngStream(5, len(shape)), shape)
+        assert g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), 5, (0,), (0, 4), (3, 0)])
+    def test_shape_dtype_and_layout_match_the_reference(self, shape):
+        g = complex_gaussians(RngStream(6), shape)
+        ref = complex_gaussians_reference(RngStream(6), shape)
+        assert g.shape == np.shape(ref)
+        assert g.dtype == np.complex128
+        assert g.flags.c_contiguous
+        assert g.tobytes() == ref.tobytes()
 
 
 class TestHaarRows:
