@@ -56,6 +56,14 @@ CASES = {
                             "--seed", "11"],
     "decohere_chaotic": ["decohere", "--n", "4", "--k", "2", "--dynamics",
                          "chaotic-circuit", "--trials", "30", "--seed", "11"],
+    "decohere_integrable_k3": ["decohere", "--n", "12", "--dynamics",
+                               "integrable", "--theta", "0", "0.3", "2.0",
+                               "--coeffs", "0.6", "0.48", "0.64",
+                               "--trials", "30", "--seed", "12"],
+    "decohere_exact_haar_k3": ["decohere", "--n", "9", "--k", "3",
+                               "--dynamics", "exact-haar",
+                               "--coeffs", "0.6", "0.48", "0.64",
+                               "--trials", "30", "--seed", "12"],
     "deff": ["deff", "--spectrum", SPECTRUM, "--energy", "6", "--width", "1"],
 }
 
