@@ -70,6 +70,9 @@ class MeasurementModel:
 
     The system side never needs its own Hilbert space: the reduced
     matrix depends only on the coefficients and the record Gram matrix.
+    ``coefficients`` becomes a read-only view of a contiguous complex128
+    input, which is not copied: the caller's array stays writable, and
+    writing to it later changes the model unchecked.
     """
 
     pointer_count: int
@@ -83,7 +86,8 @@ class MeasurementModel:
     def __post_init__(self):
         k = integer("pointer_count", self.pointer_count, 2)
         object.__setattr__(self, "pointer_count", k)
-        coeffs = np.ascontiguousarray(self.coefficients, dtype=np.complex128)
+        coeffs = np.ascontiguousarray(self.coefficients,
+                                      dtype=np.complex128).view()
         if coeffs.shape != (k,):
             raise ValueError(f"need {k} coefficients, got shape {coeffs.shape}")
         norm_sq = float(np.sum(np.abs(coeffs) ** 2))
@@ -210,6 +214,25 @@ def _rotation_y(theta: float) -> Unitary:
     return Unitary(np.array([[c, -s], [s, c]], dtype=np.complex128))
 
 
+def _product_record(theta: float, n: int) -> np.ndarray:
+    """R_y(theta)^(x n) |0...0> as the left-fold Kronecker power of
+    (cos theta/2, sin theta/2), qubit 0 on the slow index.
+
+    Each amplitude is the product of its qubits' factors in qubit
+    order, which is what the gate loop computes, so the record equals
+    it in value (only the sign of zero imaginary parts may differ).
+    """
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    out = np.ones(1)
+    for _ in range(n):
+        prev = out
+        out = np.empty((prev.size, 2))
+        out[:, 0] = prev * c
+        out[:, 1] = prev * s
+        out = out.reshape(-1)
+    return out.astype(np.complex128)
+
+
 def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
     """Evolve the initial environment state once per pointer value.
 
@@ -218,8 +241,11 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
     of evaluation order. A chaotic-circuit branch draws all its gates in
     one ``_haar_unitaries`` batch, layer by layer and left to right
     within a layer; the batch is bit-identical to one ``haar_unitary(4)``
-    call per gate in that order, and is checked once. Gates act on the
-    raw amplitudes; each finished record is validated as a ``StateVector``.
+    call per gate in that order, and is checked once. Integrable-product
+    dynamics draws nothing; from |0...0> its records are built in closed
+    form (``_product_record``), and from any other initial state by the
+    gate loop. Gates act on the raw amplitudes; each finished record is
+    validated as a ``StateVector``.
     """
     n = model.env_qubits
     sites = []
@@ -231,18 +257,19 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
         model.initial_state().amplitudes
     branches = []
     for i in range(model.pointer_count):
-        stream = rng.substream(i)
         if model.dynamics == "exact-haar":
             # Equal in law to applying an independent Haar unitary to the
             # initial state, at O(2^n) rather than O(2^3n) cost.
-            branches.append(haar_state(model.env_dim, stream))
+            branches.append(haar_state(model.env_dim, rng.substream(i)))
             continue
         amps = initial
         if model.dynamics == "chaotic-circuit":
-            gates = _haar_unitaries(4, len(sites), stream)
+            gates = _haar_unitaries(4, len(sites), rng.substream(i))
             _check_unitary(gates)
             for gate, targets in zip(gates, sites):
                 amps = _apply_gate(gate, targets, amps)
+        elif model.env_initial is None:  # integrable-product from |0...0>
+            amps = _product_record(model.thetas[i], n)
         else:  # integrable-product
             gate = _rotation_y(model.thetas[i]).entries
             for q in range(n):
@@ -258,19 +285,30 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
 
 
 def gram_matrix(branches: BranchSet) -> np.ndarray:
-    """Record Gram matrix with G[j, i] = <E_j|E_i>; Hermitian, unit diagonal."""
+    """Record Gram matrix with G[j, i] = <E_j|E_i>; Hermitian, unit diagonal.
+
+    Entry for entry it is the complex conjugate of the product that
+    ``pairwise_overlap_sq`` squares, so the moduli of its upper triangle
+    are bit-identical to that kernel's; its lower triangle is not always
+    the conjugate of its upper one in the last bit.
+    """
     mat = branches.matrix()
     return mat.conj() @ mat.T
 
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    """k x k system state; Hermitian, unit trace, PSD within tolerance."""
+    """k x k system state; Hermitian, unit trace, PSD within tolerance.
+
+    ``matrix`` is a read-only view of a contiguous complex128 input,
+    which is not copied: the caller's array stays writable, and writing
+    to it later changes the state unchecked.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        rho = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        rho = np.ascontiguousarray(self.matrix, dtype=np.complex128).view()
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
         # an inf entry makes the difference NaN, which must reach the
@@ -299,10 +337,12 @@ def reduced_density(model: MeasurementModel,
             f"model has {model.pointer_count} pointer values but "
             f"{branches.count} branches were given"
         )
-    c = model.coefficients
-    gram = gram_matrix(branches)
-    rho = np.outer(c, c.conj()) * gram.T
-    return ReducedDensityMatrix(rho)
+    return _density(model.coefficients, gram_matrix(branches))
+
+
+def _density(c: np.ndarray, gram: np.ndarray) -> ReducedDensityMatrix:
+    """Validated rho_ij = c_i conj(c_j) gram[j, i] from a ``gram_matrix``."""
+    return ReducedDensityMatrix(np.outer(c, c.conj()) * gram.T)
 
 
 def max_coherence(rho: ReducedDensityMatrix) -> float:
@@ -405,16 +445,20 @@ def suppression_experiment(model: MeasurementModel, trials: int,
 
     Trial t draws from ``rng.substream(t)``; the result therefore does
     not depend on execution order and can be partitioned across workers.
+    Each trial forms one record Gram matrix; its pair overlaps and its
+    validated reduced density matrix are bit-identical to
+    ``_pair_overlaps`` and ``reduced_density`` on the same records.
     """
     trials = integer("trials", trials, 30)
     k = model.pointer_count
-    n_pairs = k * (k - 1) // 2
-    pair_overlaps = np.empty((trials, n_pairs), dtype=float)
+    upper = np.triu_indices(k, 1)
+    pair_overlaps = np.empty((trials, upper[0].size), dtype=float)
     max_coherences = np.empty(trials, dtype=float)
     for t in range(trials):
         branches = generate_branches(model, rng.substream(t))
-        pair_overlaps[t] = _pair_overlaps(branches)
-        max_coherences[t] = max_coherence(reduced_density(model, branches))
+        gram = gram_matrix(branches)
+        pair_overlaps[t] = np.abs(gram[upper]) ** 2
+        max_coherences[t] = max_coherence(_density(model.coefficients, gram))
     return SuppressionResult(
         model=model, trials=trials,
         pair_overlaps=pair_overlaps, max_coherences=max_coherences,

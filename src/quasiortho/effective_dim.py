@@ -31,12 +31,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted, finite eigenvalue list of an environment Hamiltonian."""
+    """Sorted, finite eigenvalue list of an environment Hamiltonian.
+
+    ``energies`` is a read-only view of a contiguous float64 input,
+    which is not copied: the caller's array stays writable, and writing
+    to it later changes the spectrum unchecked.
+    """
 
     energies: np.ndarray
 
     def __post_init__(self):
-        e = np.ascontiguousarray(self.energies, dtype=float)
+        e = np.ascontiguousarray(self.energies, dtype=float).view()
         if e.ndim != 1:
             raise ValueError("energies must be a 1-D sequence")
         if e.size and not np.all(np.isfinite(e)):
@@ -52,14 +57,20 @@ class Spectrum:
 
     @classmethod
     def from_file(cls, path) -> "Spectrum":
-        """Read one float per line, or a single JSON array."""
+        """Read one float per line, or a single JSON array.
+
+        Blank lines are skipped; every other line must parse as Python's
+        ``float()`` parses it, or ``ValueError`` is raised.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         stripped = text.lstrip()
         if stripped.startswith("["):
             values = json.loads(text)
         else:
-            values = [float(line) for line in text.splitlines() if line.strip()]
+            # one conversion of all lines, with float()'s parsing rules
+            values = np.array([line for line in text.splitlines()
+                               if line.strip()], dtype=float)
         return cls(np.asarray(values, dtype=float))
 
 

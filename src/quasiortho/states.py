@@ -91,12 +91,17 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Unitary:
-    """d x d unitary matrix, validated entrywise to ``UNITARY_ATOL``."""
+    """d x d unitary matrix, validated entrywise to ``UNITARY_ATOL``.
+
+    ``entries`` is a read-only view of a contiguous complex128 input,
+    which is not copied: the caller's array stays writable, and writing
+    to it later changes the matrix unchecked.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.entries, dtype=np.complex128)
+        mat = np.ascontiguousarray(self.entries, dtype=np.complex128).view()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("entries must be a square matrix")
         limits.check_unitary_dim(mat.shape[0])

@@ -70,13 +70,16 @@ def per_gate_records(model, rng):
     """Reference records, one validated gate and state per step.
 
     Gates come from one ``haar_unitary(4)`` call each, layer by layer and
-    left to right, on pointer value i's ``rng.substream(i)``.
+    left to right, on pointer value i's ``rng.substream(i)``; an
+    exact-haar record is one ``haar_state`` on that stream.
     """
     records = []
     for i in range(model.pointer_count):
         stream = rng.substream(i)
         state = model.initial_state()
-        if model.dynamics == "chaotic-circuit":
+        if model.dynamics == "exact-haar":
+            state = haar_state(model.env_dim, stream)
+        elif model.dynamics == "chaotic-circuit":
             for layer in range(model.depth):
                 for q in range(layer % 2, model.env_qubits - 1, 2):
                     state = apply_local(haar_unitary(4, stream), (q, q + 1), state)
@@ -91,6 +94,13 @@ def per_gate_records(model, rng):
 
 def non_basis_initial(n):
     return haar_state(2 ** n, RngStream(404))
+
+
+# angles at which the closed-form integrable record meets the sign and
+# wrap-around edges of cos and sin
+EDGE_THETAS = (0.0, math.pi, -math.pi, 2 * math.pi, -6.4, 7.0)
+GENERIC_PHASES3 = np.exp(1j * np.arange(3)) * np.array([1.0, 1.5, 2.0])
+GENERIC_PHASES3 /= np.linalg.norm(GENERIC_PHASES3)
 
 
 class TestRecordsMatchPerGateReference:
@@ -108,10 +118,16 @@ class TestRecordsMatchPerGateReference:
                          env_qubits=7, dynamics="integrable-product",
                          thetas=(0.0, 0.4, 2.9), env_initial=non_basis_initial(7)),
         integrable_model(6, thetas=[0.1, 1.3]),
+        integrable_model(1, thetas=EDGE_THETAS),
+        integrable_model(2, thetas=EDGE_THETAS),
+        integrable_model(14, thetas=EDGE_THETAS),
     ], ids=["chaotic-depth7-initial", "chaotic-default", "chaotic-n2",
-            "integrable-initial", "integrable-basis"])
+            "integrable-initial", "integrable-basis", "integrable-n1-edges",
+            "integrable-n2-edges", "integrable-n14-edges"])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_records_bit_identical(self, model, seed):
+        # equal in value; the closed-form integrable record may carry
+        # +0.0 where the gate loop left -0.0 in an imaginary part
         rng = RngStream(seed, 2)
         got = generate_branches(model, rng).branches
         want = per_gate_records(model, rng)
@@ -120,21 +136,36 @@ class TestRecordsMatchPerGateReference:
             assert np.array_equal(g.amplitudes, w)
 
     def test_suppression_outputs_bit_identical(self):
-        model = MeasurementModel(pointer_count=3,
-                                 coefficients=np.array([0.6, 0.64j, 0.48]),
-                                 env_qubits=4, dynamics="chaotic-circuit",
-                                 depth=5, env_initial=non_basis_initial(4))
-        rng = RngStream(31)
-        result = suppression_experiment(model, 30, rng)
-        for t in range(30):
-            records = BranchSet(
-                branches=tuple(StateVector(a) for a in
-                               per_gate_records(model, rng.substream(t))),
-                generation_record={})
-            assert np.array_equal(result.pair_overlaps[t],
-                                  _pair_overlaps(records))
-            assert result.max_coherences[t] == max_coherence(
-                reduced_density(model, records))
+        models = {
+            "chaotic": MeasurementModel(
+                pointer_count=3, coefficients=np.array([0.6, 0.64j, 0.48]),
+                env_qubits=4, dynamics="chaotic-circuit", depth=5,
+                env_initial=non_basis_initial(4)),
+            "integrable": integrable_model(
+                9, thetas=[0.0, 0.3, -2.0],
+                coeffs=np.array([0.6, 0.64j, -0.48])),
+            # generic phases: rho from the untransposed product moves the
+            # last bit of the max coherence in 6 of these 30 trials
+            "exact-haar": exact_haar_model(6, k=3, coeffs=GENERIC_PHASES3),
+        }
+        for name, model in models.items():
+            rng = RngStream(31)
+            result = suppression_experiment(model, 30, rng)
+            c = model.coefficients
+            for t in range(30):
+                records = BranchSet(
+                    branches=tuple(StateVector(a) for a in
+                                   per_gate_records(model, rng.substream(t))),
+                    generation_record={})
+                assert np.array_equal(result.pair_overlaps[t],
+                                      _pair_overlaps(records)), (name, t)
+                assert result.max_coherences[t] == max_coherence(
+                    reduced_density(model, records)), (name, t)
+                # rho as it was formed from the transposed gram_matrix
+                mat = records.matrix()
+                rho = np.outer(c, c.conj()) * (mat.conj() @ mat.T).T
+                assert result.max_coherences[t] == max_coherence(
+                    ReducedDensityMatrix(rho)), (name, t)
 
 
 class TestMeasurementModel:
@@ -178,6 +209,14 @@ class TestMeasurementModel:
         with pytest.raises(ResourceLimitError):
             MeasurementModel(pointer_count=2, coefficients=UNIFORM2,
                              env_qubits=20, dynamics="exact-haar")
+
+    def test_callers_coefficients_stay_writable(self):
+        coeffs = np.array([0.6, 0.8], dtype=np.complex128)
+        m = MeasurementModel(pointer_count=2, coefficients=coeffs,
+                             env_qubits=2, dynamics="exact-haar")
+        assert not m.coefficients.flags.writeable
+        coeffs[0] = 0.8
+        assert coeffs.flags.writeable
 
     def test_config_round_trip(self):
         m = MeasurementModel.from_config({
@@ -355,6 +394,13 @@ class TestGramAndDensity:
             rho = reduced_density(m, bs)
             oracle = dense_partial_trace(coeffs, bs.matrix())
             assert np.max(np.abs(rho.matrix - oracle)) < 1e-10
+
+    def test_callers_matrix_stays_writable(self):
+        mat = np.diag([0.25, 0.75]).astype(np.complex128)
+        rho = ReducedDensityMatrix(mat)
+        assert not rho.matrix.flags.writeable
+        mat[0, 1] = 0.1
+        assert mat.flags.writeable
 
     def test_density_validation(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,42 @@ class TestSpectrum:
         s = Spectrum.from_file(path)
         assert s.size == 0
 
+    @pytest.mark.parametrize("line", [
+        " 1_0 ", "infinity", "-0.0", "1e400", "\t2\t", "1e-400", "+5.",
+        "0.1", "2.2250738585072011e-308", "9007199254740993",
+        "2.0 3.0", "0x10", "#x", "abc", "1,5",
+    ])
+    def test_line_parses_as_float_does(self, line, tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            want = float(line)
+        except ValueError:
+            want = None
+        if want is None or not math.isfinite(want):
+            with pytest.raises(ValueError):
+                Spectrum.from_file(path)
+            return
+        got = Spectrum.from_file(path).energies
+        assert got.tobytes() == np.array([want]).tobytes()
+
+    def test_many_lines_parse_bit_identically(self, tmp_path):
+        values = np.sort(np.random.default_rng(3).standard_normal(2000)) * 1e3
+        lines = [repr(float(v)) for v in values[::2]] + \
+            [f"{v:.25g}" for v in values[1::2]]
+        lines.sort(key=float)
+        path = tmp_path / "levels.txt"
+        path.write_text("\n\n".join(lines) + "\n", encoding="utf-8")
+        got = Spectrum.from_file(path).energies
+        assert got.tobytes() == np.array([float(x) for x in lines]).tobytes()
+
+    def test_callers_array_stays_writable(self):
+        e = np.array([0.0, 1.0, 2.0])
+        s = Spectrum(e)
+        assert not s.energies.flags.writeable
+        e[0] = -1.0
+        assert e.flags.writeable
+
 
 class TestMicrocanonicalDim:
     def test_empty_spectrum(self):

@@ -240,6 +240,17 @@ class TestHaarUnitaryBatch:
         assert a.generator.standard_normal() == b.generator.standard_normal()
 
 
+class TestUnitary:
+    def test_callers_array_stays_writable(self):
+        u = np.eye(2, dtype=np.complex128)
+        unitary = Unitary(u)
+        assert not unitary.entries.flags.writeable
+        with pytest.raises(ValueError):
+            unitary.entries[0, 0] = 1.0
+        u[0, 0] = 1.0
+        assert u.flags.writeable
+
+
 class TestUnitaryStackCheck:
     def stack(self):
         return _haar_unitaries(4, 6, RngStream(12))
