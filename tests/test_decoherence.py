@@ -104,7 +104,8 @@ GENERIC_PHASES3 /= np.linalg.norm(GENERIC_PHASES3)
 
 
 class TestRecordsMatchPerGateReference:
-    """Batched draws and the raw-array gate loop change no bit."""
+    """Batched draws, the raw-array gate loop and closed-form integrable
+    records change no value."""
 
     @pytest.mark.parametrize("model", [
         MeasurementModel(pointer_count=2, coefficients=UNIFORM2, env_qubits=6,
