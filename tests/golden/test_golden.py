@@ -56,6 +56,10 @@ CASES = {
                             "--seed", "11"],
     "decohere_chaotic": ["decohere", "--n", "4", "--k", "2", "--dynamics",
                          "chaotic-circuit", "--trials", "30", "--seed", "11"],
+    "decohere_chaotic_k3": ["decohere", "--n", "10", "--k", "3", "--dynamics",
+                            "chaotic-circuit", "--depth", "6",
+                            "--coeffs", "0.6", "0.48", "0.64",
+                            "--trials", "37", "--seed", "13"],
     "decohere_integrable_k3": ["decohere", "--n", "12", "--dynamics",
                                "integrable", "--theta", "0", "0.3", "2.0",
                                "--coeffs", "0.6", "0.48", "0.64",
