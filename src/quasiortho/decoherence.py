@@ -33,8 +33,8 @@ import numpy as np
 
 from . import limits
 from .rng import RngStream
-from .states import (StateVector, Unitary, _apply_gate, _check_unitary,
-                     _haar_unitaries, basis_state, haar_state,
+from .states import (StateVector, _apply_gate, _check_unit_rows,
+                     _check_unitary, _haar_rows, _haar_unitaries, basis_state,
                      pairwise_overlap_sq)
 from .validate import integer, real
 
@@ -145,28 +145,51 @@ class MeasurementModel:
         """Build a model from a JSON config file path or a plain dict.
 
         Coefficients may be given as real numbers or [re, im] pairs;
-        ``env_initial`` (optional) uses the same convention.
+        ``env_initial`` (optional) uses the same convention. A config
+        that is not an object, lacks a required key or gives a list
+        field as anything but a list raises ValueError naming the key.
         """
         if isinstance(source, dict):
             cfg = source
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        coeffs = np.array([_as_complex(c) for c in cfg["coefficients"]])
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config must be a JSON object, got "
+                             f"{type(cfg).__name__}")
+        for key in ("pointer_count", "coefficients", "env_qubits", "dynamics"):
+            if key not in cfg:
+                raise ValueError(f"config lacks required key {key!r}")
         env_initial = None
         if cfg.get("env_initial") is not None:
-            amps = np.array([_as_complex(a) for a in cfg["env_initial"]])
-            env_initial = StateVector(amps)
+            env_initial = StateVector(_config_complex(cfg, "env_initial"))
         thetas = cfg.get("thetas")
         return cls(
             pointer_count=cfg["pointer_count"],
-            coefficients=coeffs,
+            coefficients=_config_complex(cfg, "coefficients"),
             env_qubits=cfg["env_qubits"],
             dynamics=str(cfg["dynamics"]),
             depth=cfg.get("depth"),
-            thetas=None if thetas is None else tuple(thetas),
+            thetas=None if thetas is None else tuple(_config_list(cfg, "thetas")),
             env_initial=env_initial,
         )
+
+
+def _config_list(cfg: dict, key: str) -> list:
+    value = cfg[key]
+    if not isinstance(value, list):
+        raise ValueError(f"config {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _config_complex(cfg: dict, key: str) -> np.ndarray:
+    """Config list ``key`` of reals or [re, im] pairs as a complex array."""
+    values = _config_list(cfg, key)
+    try:
+        return np.array([_as_complex(v) for v in values])
+    except (TypeError, ValueError):
+        raise ValueError(f"config {key!r} needs numbers or [re, im] "
+                         f"pairs") from None
 
 
 def _as_complex(value) -> complex:
@@ -176,42 +199,55 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
-@dataclass(frozen=True)
 class BranchSet:
-    """Environmental records |E_i>, one per pointer value."""
+    """Environmental records |E_i>, one per pointer value, held as the
+    rows of one read-only ``(count, dim)`` matrix ``rows``.
 
-    branches: tuple[StateVector, ...]
-    generation_record: dict
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    Give either ``branches``, a sequence of ``StateVector``, or ``rows``,
+    a matrix checked once with the unit-norm rule of ``StateVector``. A
+    contiguous complex128 ``rows`` is not copied: the caller's array
+    stays writable, and writing to it later changes the records
+    unchecked.
+    """
 
-    def __post_init__(self):
-        branches = tuple(self.branches)
-        if not branches:
-            raise ValueError("branch set must be non-empty")
-        if any(b.dim != branches[0].dim for b in branches):
-            raise ValueError("all branches must share one dimension")
-        object.__setattr__(self, "branches", branches)
-        mat = np.vstack([b.amplitudes for b in branches])
-        mat.setflags(write=False)
-        object.__setattr__(self, "_matrix", mat)
+    __slots__ = ("rows", "generation_record")
+
+    def __init__(self, branches=None, generation_record=None, *, rows=None):
+        if (branches is None) == (rows is None):
+            raise ValueError("give exactly one of branches or rows")
+        if branches is not None:
+            branches = tuple(branches)
+            if not branches:
+                raise ValueError("branch set must be non-empty")
+            if any(b.dim != branches[0].dim for b in branches):
+                raise ValueError("all branches must share one dimension")
+            rows = np.stack([b.amplitudes for b in branches])
+        rows = np.ascontiguousarray(rows, dtype=np.complex128).view()
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
+            raise ValueError("branch rows must be a non-empty (count, dim) matrix")
+        limits.check_state_dim(rows.shape[1])
+        _check_unit_rows(rows)
+        rows.setflags(write=False)
+        self.rows = rows
+        self.generation_record = generation_record
+
+    @property
+    def branches(self) -> tuple[StateVector, ...]:
+        """The rows as ``StateVector`` objects, built on each access."""
+        return tuple(StateVector(row) for row in self.rows)
 
     @property
     def count(self) -> int:
-        return len(self.branches)
+        return self.rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.branches[0].dim
-
-    def matrix(self) -> np.ndarray:
-        """Read-only ``(count, dim)`` record matrix, one record per row,
-        built once at construction."""
-        return self._matrix
+        return self.rows.shape[1]
 
 
-def _rotation_y(theta: float) -> Unitary:
+def _rotation_y(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return Unitary(np.array([[c, -s], [s, c]], dtype=np.complex128))
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 def _product_record(theta: float, n: int) -> np.ndarray:
@@ -233,55 +269,94 @@ def _product_record(theta: float, n: int) -> np.ndarray:
     return out.astype(np.complex128)
 
 
+# Complex entries of records plus gates that one block of trials may hold
+# (1 MB). It fits 8 trials at n=10, k=2 and one at n=14, k=8; a 64 MB
+# block made n=14 slower.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _brickwork(model: MeasurementModel) -> list:
+    """Gate sites of a chaotic-circuit branch in draw order: even layers
+    pair (0, 1), (2, 3), ...; odd ones (1, 2), (3, 4), ..."""
+    return [(q, q + 1) for layer in range(model.depth)
+            for q in range(layer % 2, model.env_qubits - 1, 2)]
+
+
+def _block_trials(model: MeasurementModel) -> int:
+    """Trials per block: as many as fit ``_BLOCK_ENTRIES``, at least one."""
+    gates = len(_brickwork(model)) if model.dynamics == "chaotic-circuit" else 0
+    per_trial = model.pointer_count * (model.env_dim + 16 * gates)
+    return max(1, _BLOCK_ENTRIES // per_trial)
+
+
+def _records(model: MeasurementModel, streams) -> np.ndarray:
+    """``(len(streams), k, 2**n)`` records of a block of trials: the one
+    record kernel. Trial b's pointer value i draws from
+    ``streams[b].substream(i)``.
+
+    * exact-haar: each record is one ``_haar_rows(d, 1, ...)`` draw,
+      equal in law to an independent Haar unitary applied to the initial
+      state at O(2^n) rather than O(2^3n) cost; the block's norms are
+      checked once.
+    * chaotic-circuit: each branch draws all its gates in one
+      ``_haar_unitaries`` batch, layer by layer and left to right within
+      a layer (bit-identical to one ``haar_unitary(4)`` call per gate in
+      that order). The block's gates are checked once, and each
+      brickwork site is one stacked product over every branch of the
+      block, bit-identical to applying it branch by branch.
+    * integrable-product: draws nothing, so every trial gets the same
+      records. From |0...0> they are built in closed form
+      (``_product_record``); from any other initial state the k rotations
+      of each qubit are one stacked product.
+    """
+    n, k, d = model.env_qubits, model.pointer_count, model.env_dim
+    if model.dynamics == "exact-haar":
+        out = np.empty((len(streams), k, d), dtype=np.complex128)
+        for b, stream in enumerate(streams):
+            for i in range(k):
+                out[b, i] = _haar_rows(d, 1, stream.substream(i))[0]
+        _check_unit_rows(out)
+        return out
+    if model.dynamics == "integrable-product":
+        if model.env_initial is None:
+            rows = np.stack([_product_record(t, n) for t in model.thetas])
+        else:
+            gates = np.stack([_rotation_y(t) for t in model.thetas])
+            _check_unitary(gates)
+            rows = np.repeat(model.env_initial.amplitudes[None], k, axis=0)
+            for q in range(n):
+                rows = _apply_gate(gates, (q,), rows)
+        out = np.empty((len(streams), k, d), dtype=np.complex128)
+        out[:] = rows
+        return out
+    sites = _brickwork(model)
+    gates = np.empty((len(streams) * k, len(sites), 4, 4), dtype=np.complex128)
+    for b, stream in enumerate(streams):
+        for i in range(k):
+            gates[b * k + i] = _haar_unitaries(4, len(sites), stream.substream(i))
+    _check_unitary(gates)
+    amps = np.repeat(model.initial_state().amplitudes[None], len(gates), axis=0)
+    for j, targets in enumerate(sites):
+        amps = _apply_gate(gates[:, j], targets, amps)
+    return amps.reshape(len(streams), k, d)
+
+
 def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
     """Evolve the initial environment state once per pointer value.
 
     Pointer value i draws from ``rng.substream(i)``, so branch sets are
     reproducible from (model, seed, stream_index) alone and independent
-    of evaluation order. A chaotic-circuit branch draws all its gates in
-    one ``_haar_unitaries`` batch, layer by layer and left to right
-    within a layer; the batch is bit-identical to one ``haar_unitary(4)``
-    call per gate in that order, and is checked once. Integrable-product
-    dynamics draws nothing; from |0...0> its records are built in closed
-    form (``_product_record``), and from any other initial state by the
-    gate loop. Gates act on the raw amplitudes; each finished record is
-    validated as a ``StateVector``.
+    of evaluation order. The records are one trial of the block kernel
+    that ``suppression_experiment`` runs (see ``_records`` for how each
+    dynamics draws them), checked once as the rows of the ``BranchSet``.
     """
-    n = model.env_qubits
-    sites = []
-    if model.dynamics == "chaotic-circuit":
-        # brickwork: even layers pair (0, 1), (2, 3), ...; odd ones (1, 2), ...
-        sites = [(q, q + 1) for layer in range(model.depth)
-                 for q in range(layer % 2, n - 1, 2)]
-    initial = None if model.dynamics == "exact-haar" else \
-        model.initial_state().amplitudes
-    branches = []
-    for i in range(model.pointer_count):
-        if model.dynamics == "exact-haar":
-            # Equal in law to applying an independent Haar unitary to the
-            # initial state, at O(2^n) rather than O(2^3n) cost.
-            branches.append(haar_state(model.env_dim, rng.substream(i)))
-            continue
-        amps = initial
-        if model.dynamics == "chaotic-circuit":
-            gates = _haar_unitaries(4, len(sites), rng.substream(i))
-            _check_unitary(gates)
-            for gate, targets in zip(gates, sites):
-                amps = _apply_gate(gate, targets, amps)
-        elif model.env_initial is None:  # integrable-product from |0...0>
-            amps = _product_record(model.thetas[i], n)
-        else:  # integrable-product
-            gate = _rotation_y(model.thetas[i]).entries
-            for q in range(n):
-                amps = _apply_gate(gate, (q,), amps)
-        branches.append(StateVector(amps))
     record = {
         "dynamics": model.dynamics,
         "seed": rng.seed,
         "stream_index": rng.stream_index,
         "depth_or_time": model.depth,
     }
-    return BranchSet(branches=tuple(branches), generation_record=record)
+    return BranchSet(rows=_records(model, [rng])[0], generation_record=record)
 
 
 def gram_matrix(branches: BranchSet) -> np.ndarray:
@@ -292,8 +367,11 @@ def gram_matrix(branches: BranchSet) -> np.ndarray:
     are bit-identical to that kernel's; its lower triangle is not always
     the conjugate of its upper one in the last bit.
     """
-    mat = branches.matrix()
-    return mat.conj() @ mat.T
+    return _gram(branches.rows)
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    return rows.conj() @ rows.T
 
 
 @dataclass(frozen=True)
@@ -353,7 +431,7 @@ def max_coherence(rho: ReducedDensityMatrix) -> float:
 
 
 def _pair_overlaps(branches: BranchSet) -> np.ndarray:
-    return np.concatenate(list(pairwise_overlap_sq(branches.matrix())))
+    return np.concatenate(list(pairwise_overlap_sq(branches.rows)))
 
 
 def typicality_ratio(branches: BranchSet, d_eff: float) -> float:
@@ -382,8 +460,10 @@ class SuppressionResult:
 
     def __post_init__(self):
         object.__setattr__(self, "d_eff", self.model.env_dim)
-        self.pair_overlaps.setflags(write=False)
-        self.max_coherences.setflags(write=False)
+        for name in ("pair_overlaps", "max_coherences"):
+            frozen = getattr(self, name).view()
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
 
     @property
     def mean_overlap_sq(self) -> float:
@@ -445,20 +525,33 @@ def suppression_experiment(model: MeasurementModel, trials: int,
 
     Trial t draws from ``rng.substream(t)``; the result therefore does
     not depend on execution order and can be partitioned across workers.
-    Each trial forms one record Gram matrix; its pair overlaps and its
-    validated reduced density matrix are bit-identical to
-    ``_pair_overlaps`` and ``reduced_density`` on the same records.
+    Trials run in blocks of bounded memory (``_records``); integrable
+    trials draw nothing, so their records, Gram and density matrix are
+    formed once and copied into every trial's row. Each trial forms one
+    record Gram matrix; its pair overlaps and its validated reduced
+    density matrix are bit-identical to ``_pair_overlaps`` and
+    ``reduced_density`` on the same records.
     """
     trials = integer("trials", trials, 30)
     k = model.pointer_count
     upper = np.triu_indices(k, 1)
     pair_overlaps = np.empty((trials, upper[0].size), dtype=float)
     max_coherences = np.empty(trials, dtype=float)
-    for t in range(trials):
-        branches = generate_branches(model, rng.substream(t))
-        gram = gram_matrix(branches)
-        pair_overlaps[t] = np.abs(gram[upper]) ** 2
-        max_coherences[t] = max_coherence(_density(model.coefficients, gram))
+
+    def fill(where, rows):
+        """Write the stats of one trial's records to output rows ``where``."""
+        gram = _gram(rows)
+        pair_overlaps[where] = np.abs(gram[upper]) ** 2
+        max_coherences[where] = max_coherence(_density(model.coefficients, gram))
+
+    if model.dynamics == "integrable-product":
+        fill(slice(None), _records(model, [rng])[0])
+    else:
+        step = _block_trials(model)
+        for t0 in range(0, trials, step):
+            streams = [rng.substream(t) for t in range(t0, min(t0 + step, trials))]
+            for t, rows in enumerate(_records(model, streams), t0):
+                fill(t, rows)
     return SuppressionResult(
         model=model, trials=trials,
         pair_overlaps=pair_overlaps, max_coherences=max_coherences,

@@ -306,16 +306,19 @@ def apply_local(u_small: Unitary, targets, psi: StateVector) -> StateVector:
         raise ValueError(
             f"gate dim {u_small.dim} does not match {k} target qubit(s)"
         )
-    return StateVector(_apply_gate(u_small.entries, targets, psi.amplitudes))
+    return StateVector(
+        _apply_gate(u_small.entries[None], targets, psi.amplitudes[None])[0])
 
 
 @functools.lru_cache(maxsize=256)
 def _gate_layout(n: int, targets: tuple) -> tuple:
-    """Reshapes and axis orders that bring ``targets`` to the front.
+    """Reshapes and axis orders that bring ``targets`` to the front of a
+    ``(batch, 2**n)`` stack of states, behind its batch axis.
 
     Qubit axes that stay adjacent after the move are merged into one
     axis, so both transposes copy over a few long axes, not n short ones.
-    Returns (shape, perm, moved shape, inverse perm).
+    Returns (shape, perm, moved shape, inverse perm), each with the batch
+    axis first.
     """
     order = list(targets) + [a for a in range(n) if a not in targets]
     runs = []   # [first qubit, qubit count] in moved order
@@ -327,22 +330,31 @@ def _gate_layout(n: int, targets: tuple) -> tuple:
     ordered = sorted(runs)
     perm = tuple(ordered.index(run) for run in runs)
     inverse = tuple(perm.index(i) for i in range(len(perm)))
-    return (tuple(2 ** c for _, c in ordered), perm,
-            tuple(2 ** c for _, c in runs), inverse)
+    return ((-1,) + tuple(2 ** c for _, c in ordered),
+            (0,) + tuple(p + 1 for p in perm),
+            (-1,) + tuple(2 ** c for _, c in runs),
+            (0,) + tuple(i + 1 for i in inverse))
 
 
 def _apply_gate(entries: np.ndarray, targets, amps: np.ndarray) -> np.ndarray:
-    """Gate kernel on raw arrays: ``entries`` on qubits ``targets`` of ``amps``.
+    """Gate kernel on raw arrays: gate ``entries[b]`` on qubits ``targets``
+    of state ``amps[b]``, for a ``(batch, 2**k, 2**k)`` stack of gates and
+    a ``(batch, 2**n)`` stack of states.
 
     No validation; ``apply_local`` states the contract. The target qubits
-    are moved to the front, the gate is one matrix product on the
-    resulting ``(2**k, 2**(n-k))`` block, and the qubits are moved back.
-    The block is the one an n-axis ``np.moveaxis`` builds, so the product
-    is bit-identical to it. A stacked product over a ``(2**q, 2**k, m)``
-    view would skip both copies, but it changed the last bit whenever m
-    was small (OpenBLAS picks other kernels for narrow operands).
+    are moved to the front, each gate is one matrix product on its state's
+    ``(2**k, 2**(n-k))`` block, and the qubits are moved back. The block
+    is the one an n-axis ``np.moveaxis`` builds, and the stacked product
+    runs one BLAS product per state on it, so each state's result is
+    bit-identical to a product on that state alone. A stacked product over
+    a ``(2**q, 2**k, m)`` view would skip both copies, but it changed the
+    last bit whenever m was small (OpenBLAS picks other kernels for narrow
+    operands).
     """
-    shape, perm, moved, inverse = _gate_layout(amps.size.bit_length() - 1,
+    batch, dim = amps.shape
+    shape, perm, moved, inverse = _gate_layout(dim.bit_length() - 1,
                                                tuple(targets))
-    block = amps.reshape(shape).transpose(perm).reshape(entries.shape[0], -1)
-    return (entries @ block).reshape(moved).transpose(inverse).reshape(-1)
+    block = amps.reshape(shape).transpose(perm).reshape(
+        batch, entries.shape[-1], -1)
+    out = entries @ block
+    return out.reshape(moved).transpose(inverse).reshape(batch, dim)

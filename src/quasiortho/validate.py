@@ -24,7 +24,7 @@ def integer(name: str, value, lo: int, hi: int | None = None) -> int:
     try:
         out = operator.index(value)
     except TypeError:
-        x = float(value)
+        x = _float(name, value)
         if not x.is_integer():
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
         out = int(x)
@@ -41,7 +41,7 @@ def real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
     Bounds are closed unless ``lo_open``/``hi_open`` is set. Returns the
     value as a float.
     """
-    x = float(value)
+    x = _float(name, value)
     if not (math.isfinite(x)
             and (lo < x if lo_open else lo <= x)
             and (x < hi if hi_open else x <= hi)):
@@ -51,3 +51,12 @@ def real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
             f"{name} must be a finite number in {interval}, got {value!r}"
         )
     return x
+
+
+def _float(name: str, value) -> float:
+    """``float(value)``; a value of no numeric type (None, a list) raises
+    ValueError like any other rejected input, not TypeError."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None

@@ -247,6 +247,32 @@ class TestDecohere:
         assert json.loads(out)["summary"]["env_qubits"] == 4
 
 
+    @pytest.mark.parametrize("config, key", [
+        ({"coefficients": [0.8, 0.6], "env_qubits": 4,
+          "dynamics": "exact-haar"}, "pointer_count"),
+        ([2, [0.8, 0.6], 4, "exact-haar"], "JSON object"),
+        ({"pointer_count": 2, "coefficients": [0.8, 0.6], "env_qubits": 4,
+          "dynamics": "integrable-product", "thetas": 0.5}, "thetas"),
+        ({"pointer_count": 2, "coefficients": 0.8, "env_qubits": 4,
+          "dynamics": "exact-haar"}, "coefficients"),
+        ({"pointer_count": None, "coefficients": [0.8, 0.6], "env_qubits": 4,
+          "dynamics": "exact-haar"}, "pointer_count"),
+        ({"pointer_count": 2, "coefficients": [{}, 0.6], "env_qubits": 4,
+          "dynamics": "exact-haar"}, "coefficients"),
+    ], ids=["missing-key", "array", "scalar-thetas", "scalar-coefficients",
+            "null-count", "object-coefficient"])
+    def test_malformed_config_is_usage_error(self, config, key, capsys,
+                                             tmp_path):
+        # exit 1 means a failed statistical test, so a bad config must
+        # not reach it through an uncaught KeyError or TypeError
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["decohere", "--config", str(cfg), "--trials", "30",
+                     "--seed", "13", "--no-timestamp"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+
 class TestDeff:
     def test_four_level_window(self, capsys, tmp_path):
         spec = tmp_path / "levels.txt"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quasiortho import (
     ResourceLimitError,
     RngStream,
     StateVector,
+    SuppressionResult,
     basis_state,
     generate_branches,
     gram_matrix,
@@ -25,6 +27,7 @@ from quasiortho import (
     typicality_ratio,
 )
 from quasiortho.states import Unitary, apply_local, haar_unitary
+from quasiortho import decoherence as dc
 from quasiortho.decoherence import ATYPICAL_RATIO, _pair_overlaps
 from quasiortho.overlap import EmpiricalSample
 
@@ -148,6 +151,12 @@ class TestRecordsMatchPerGateReference:
             # generic phases: rho from the untransposed product moves the
             # last bit of the max coherence in 6 of these 30 trials
             "exact-haar": exact_haar_model(6, k=3, coeffs=GENERIC_PHASES3),
+            # 8 trials per block, so 30 trials end on a partial block
+            "chaotic-n10": MeasurementModel(
+                pointer_count=2, coefficients=UNIFORM2, env_qubits=10,
+                dynamics="chaotic-circuit", depth=6),
+            "exact-haar-n12-k4": exact_haar_model(
+                12, k=4, coeffs=np.array([0.5, 0.5j, -0.5, 0.5])),
         }
         for name, model in models.items():
             rng = RngStream(31)
@@ -163,7 +172,7 @@ class TestRecordsMatchPerGateReference:
                 assert result.max_coherences[t] == max_coherence(
                     reduced_density(model, records)), (name, t)
                 # rho as it was formed from the transposed gram_matrix
-                mat = records.matrix()
+                mat = records.rows
                 rho = np.outer(c, c.conj()) * (mat.conj() @ mat.T).T
                 assert result.max_coherences[t] == max_coherence(
                     ReducedDensityMatrix(rho)), (name, t)
@@ -326,6 +335,37 @@ class TestGenerateBranches:
         assert rec["stream_index"] == 4
 
 
+class TestBranchSet:
+    def test_rows_and_branches_give_the_same_set(self):
+        rng = RngStream(6)
+        states = (haar_state(8, rng), haar_state(8, rng))
+        from_states = BranchSet(branches=states, generation_record={})
+        from_rows = BranchSet(rows=from_states.rows, generation_record={})
+        assert from_rows.count == 2 and from_rows.dim == 8
+        for a, b in zip(from_rows.branches, states):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    def test_callers_rows_stay_writable(self):
+        rows = np.eye(4, dtype=np.complex128)[:2]
+        bs = BranchSet(rows=rows, generation_record={})
+        assert not bs.rows.flags.writeable
+        rows[0, 1] = 0.0
+        assert rows.flags.writeable
+
+    def test_rows_validated_once_at_construction(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            BranchSet(rows=np.ones((2, 4)), generation_record={})
+        with pytest.raises(ValueError, match="matrix"):
+            BranchSet(rows=np.ones(4) / 2, generation_record={})
+
+    def test_exactly_one_source(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            BranchSet(generation_record={})
+        with pytest.raises(ValueError, match="exactly one"):
+            BranchSet(branches=(basis_state(2, 0),), rows=np.eye(2),
+                      generation_record={})
+
+
 class TestGramAndDensity:
     def test_identical_branches_all_ones(self):
         m = integrable_model(3, thetas=[0.4, 0.4])
@@ -393,7 +433,7 @@ class TestGramAndDensity:
                                  env_qubits=n, dynamics="exact-haar")
             bs = generate_branches(m, master.substream(case))
             rho = reduced_density(m, bs)
-            oracle = dense_partial_trace(coeffs, bs.matrix())
+            oracle = dense_partial_trace(coeffs, bs.rows)
             assert np.max(np.abs(rho.matrix - oracle)) < 1e-10
 
     def test_callers_matrix_stays_writable(self):
@@ -510,6 +550,53 @@ class TestSuppressionExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             suppression_experiment(exact_haar_model(3), 10, RngStream(0))
+
+    @pytest.mark.parametrize("model", [
+        MeasurementModel(pointer_count=3, coefficients=np.array([0.6, 0.64j, 0.48]),
+                         env_qubits=5, dynamics="chaotic-circuit", depth=4,
+                         env_initial=non_basis_initial(5)),
+        exact_haar_model(7, k=3, coeffs=GENERIC_PHASES3),
+        integrable_model(6, thetas=[0.0, 0.3, -2.0],
+                         coeffs=np.array([0.6, 0.64j, -0.48])),
+    ], ids=["chaotic", "exact-haar", "integrable"])
+    def test_block_size_changes_no_bit(self, model, monkeypatch):
+        def run():
+            return suppression_experiment(model, 37, RngStream(17))
+
+        default = run()
+        for entries in (1, 1 << 40):   # one trial per block; all in one
+            monkeypatch.setattr(dc, "_BLOCK_ENTRIES", entries)
+            blocked = run()
+            assert np.array_equal(blocked.pair_overlaps, default.pair_overlaps)
+            assert np.array_equal(blocked.max_coherences, default.max_coherences)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # blocks bound the records held at once; past the output arrays
+        # (one pair-overlap row and one coherence per trial) the peak must
+        # not depend on the trial count
+        m = exact_haar_model(12, k=4, coeffs=np.full(4, 0.5))
+
+        def peak(trials):
+            suppression_experiment(m, trials, RngStream(3))   # warm caches
+            tracemalloc.start()
+            try:
+                suppression_experiment(m, trials, RngStream(3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        outputs = (300 - 30) * 8 * (6 + 1)
+        assert peak(300) <= peak(30) + outputs + 64 * 1024
+
+    def test_callers_arrays_stay_writable(self):
+        overlaps, coherences = np.zeros((30, 1)), np.zeros(30)
+        result = SuppressionResult(model=exact_haar_model(3), trials=30,
+                                   pair_overlaps=overlaps,
+                                   max_coherences=coherences, seed_record=(0, 0))
+        assert not result.pair_overlaps.flags.writeable
+        assert not result.max_coherences.flags.writeable
+        overlaps[0, 0] = coherences[0] = 0.5
+        assert overlaps.flags.writeable and coherences.flags.writeable
 
     def test_order_independence_of_trials(self):
         # per-trial substreams make results independent of scheduling

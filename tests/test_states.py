@@ -366,7 +366,7 @@ class TestGateKernel:
         rng = RngStream(21)
         amps = haar_state(2 ** 10, rng).amplitudes
         gate = haar_unitary(2 ** len(targets), rng).entries
-        assert np.array_equal(_apply_gate(gate, targets, amps),
+        assert np.array_equal(_apply_gate(gate[None], targets, amps[None])[0],
                               moveaxis_reference(gate, targets, amps))
 
     def test_every_target_tuple_on_small_systems(self):
@@ -379,8 +379,26 @@ class TestGateKernel:
                 gate = haar_unitary(2 ** k, rng).entries
                 for targets in itertools.permutations(range(n), k):
                     assert np.array_equal(
-                        _apply_gate(gate, targets, amps),
+                        _apply_gate(gate[None], targets, amps[None])[0],
                         moveaxis_reference(gate, targets, amps))
+
+    @pytest.mark.parametrize("n, targets", [
+        (2, (0, 1)), (2, (1, 0)), (3, (1, 2)), (7, (5, 6)), (10, (3, 4)),
+        (10, (0, 1)), (14, (12, 13)), (14, (6,)),
+    ])
+    def test_stacked_states_bit_identical_to_one_at_a_time(self, n, targets):
+        # one gate per state; n=2 makes the block a single column, which
+        # BLAS runs as a matrix-vector product
+        rng = RngStream(23)
+        batch = 5
+        amps = np.stack([haar_state(2 ** n, rng).amplitudes
+                         for _ in range(batch)])
+        gates = np.stack([haar_unitary(2 ** len(targets), rng).entries
+                          for _ in range(batch)])
+        out = _apply_gate(gates, targets, amps)
+        for b in range(batch):
+            assert np.array_equal(out[b],
+                                  moveaxis_reference(gates[b], targets, amps[b]))
 
 
 class TestApply:

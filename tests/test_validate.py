@@ -48,6 +48,15 @@ class TestValidator:
         with pytest.raises(ValueError):
             real("x", value)
 
+    @pytest.mark.parametrize("value", [None, [1], {}])
+    def test_non_numbers_are_value_errors(self, value):
+        # a JSON config can carry null, a list or an object where a
+        # number belongs; TypeError would crash the CLI instead of exit 2
+        with pytest.raises(ValueError, match="must be a number"):
+            integer("d", value, 1)
+        with pytest.raises(ValueError, match="must be a number"):
+            real("x", value)
+
 
 def test_huge_seed_stays_exact():
     # seeds drawn from system entropy are 128-bit; no float round trip
