@@ -199,6 +199,7 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class BranchSet:
     """Environmental records |E_i>, one per pointer value, held as the
     rows of one read-only ``(count, dim)`` matrix ``rows``.
@@ -210,7 +211,8 @@ class BranchSet:
     unchecked.
     """
 
-    __slots__ = ("rows", "generation_record")
+    rows: np.ndarray
+    generation_record: dict
 
     def __init__(self, branches=None, generation_record=None, *, rows=None):
         if (branches is None) == (rows is None):
@@ -228,8 +230,8 @@ class BranchSet:
         limits.check_state_dim(rows.shape[1])
         _check_unit_rows(rows)
         rows.setflags(write=False)
-        self.rows = rows
-        self.generation_record = generation_record
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "generation_record", generation_record)
 
     @property
     def branches(self) -> tuple[StateVector, ...]:
