@@ -62,6 +62,9 @@ RHO_EIG_ATOL = 1e-9
 # Mean pairwise overlap above this multiple of 1/d_eff is flagged as a
 # pair-typicality violation; Haar records concentrate well inside it.
 ATYPICAL_RATIO = 2.0
+# Keys of a MeasurementModel config (MeasurementModel.from_config).
+_CONFIG_REQUIRED = ("pointer_count", "coefficients", "env_qubits", "dynamics")
+_CONFIG_OPTIONAL = ("depth", "thetas", "env_initial")
 
 
 @dataclass(frozen=True)
@@ -144,10 +147,13 @@ class MeasurementModel:
     def from_config(cls, source) -> "MeasurementModel":
         """Build a model from a JSON config file path or a plain dict.
 
-        Coefficients may be given as real numbers or [re, im] pairs;
-        ``env_initial`` (optional) uses the same convention. A config
-        that is not an object, lacks a required key or gives a list
-        field as anything but a list raises ValueError naming the key.
+        Required keys are ``pointer_count``, ``coefficients``,
+        ``env_qubits`` and ``dynamics``; optional ones are ``depth``,
+        ``thetas`` and ``env_initial``. Coefficients may be given as real
+        numbers or [re, im] pairs; ``env_initial`` uses the same
+        convention. A config that is not an object, lacks a required key,
+        has any other key or gives a list field as anything but a list
+        raises ValueError naming the key.
         """
         if isinstance(source, dict):
             cfg = source
@@ -157,9 +163,13 @@ class MeasurementModel:
         if not isinstance(cfg, dict):
             raise ValueError(f"config must be a JSON object, got "
                              f"{type(cfg).__name__}")
-        for key in ("pointer_count", "coefficients", "env_qubits", "dynamics"):
+        for key in _CONFIG_REQUIRED:
             if key not in cfg:
                 raise ValueError(f"config lacks required key {key!r}")
+        # a misspelt optional key would otherwise run at its default
+        for key in cfg:
+            if key not in _CONFIG_REQUIRED + _CONFIG_OPTIONAL:
+                raise ValueError(f"config has unknown key {key!r}")
         env_initial = None
         if cfg.get("env_initial") is not None:
             env_initial = StateVector(_config_complex(cfg, "env_initial"))

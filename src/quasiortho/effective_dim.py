@@ -28,6 +28,11 @@ __all__ = [
     "noninteracting_qubit_spectrum",
 ]
 
+# Characters of a spectrum file parsed per slice (256 KB of ASCII): the
+# list of line strings, about 50 bytes each, stays near 4 MB instead of
+# growing with the file.
+_PARSE_SLICE_CHARS = 1 << 18
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -68,10 +73,24 @@ class Spectrum:
         if stripped.startswith("["):
             values = json.loads(text)
         else:
-            # one conversion of all lines, with float()'s parsing rules
-            values = np.array([line for line in text.splitlines()
-                               if line.strip()], dtype=float)
+            values = _parse_lines(text)
         return cls(np.asarray(values, dtype=float))
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """The non-blank lines of ``text`` as floats, with ``float()``'s
+    parsing rules. Each slice of about ``_PARSE_SLICE_CHARS`` characters
+    ends just after a newline, so ``splitlines`` sees whole lines and the
+    line list stays bounded whatever the file size."""
+    parts = []
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PARSE_SLICE_CHARS - 1)
+        end = len(text) if cut < 0 else cut + 1
+        parts.append(np.array([line for line in text[start:end].splitlines()
+                               if line.strip()], dtype=float))
+        start = end
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def microcanonical_dim(spectrum: Spectrum, energy: float, width: float) -> int:

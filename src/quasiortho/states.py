@@ -52,6 +52,9 @@ _GRAM_BLOCK_ENTRIES = 1 << 20
 # to the dense Gram matrix. OpenBLAS 0.3.31 (x86-64, AVX-512) needed a
 # multiple of 4; other starts changed the last bit of edge-tile entries.
 _BLOCK_ROW_ALIGN = 16
+# Complex entries per slice of a unitarity check (256 KB; 1024 4x4
+# gates), so its temporaries stay bounded however large the stack.
+_CHECK_SLICE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -126,14 +129,27 @@ def _check_unit_rows(rows: np.ndarray) -> None:
 
 def _check_unitary(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of a ``(..., d, d)`` stack is
-    unitary: max |U+U - I| <= ``UNITARY_ATOL`` over all entries."""
-    # an inf entry turns the product NaN, which must reach the ValueError
-    # below rather than a RuntimeWarning
-    with np.errstate(invalid="ignore", over="ignore"):
-        gram = np.swapaxes(mats.conj(), -1, -2) @ mats
-        defect = np.abs(gram - np.eye(mats.shape[-1])).max()
-    if not defect <= UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
+    unitary: max |U+U - I| <= ``UNITARY_ATOL`` over all entries.
+
+    The stack is checked in slices of about ``_CHECK_SLICE_ENTRIES``
+    entries, so the temporaries stay bounded whatever its size; the
+    error reports the defect of the first failing slice."""
+    d = mats.shape[-1]
+    flat = mats.reshape((-1, d, d))
+    step = max(1, _CHECK_SLICE_ENTRIES // (d * d))
+    for lo in range(0, len(flat), step):
+        part = flat[lo:lo + step]
+        # an inf entry turns the product NaN, which must reach the
+        # ValueError below rather than a RuntimeWarning
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = np.swapaxes(part.conj(), -1, -2) @ part
+            # U+U - I in place: the diagonal of each product is every
+            # (d+1)-th entry of its row-major layout
+            gram.reshape(len(part), d * d)[:, ::d + 1] -= 1.0
+            defect = np.abs(gram).max()
+        if not defect <= UNITARY_ATOL:
+            raise ValueError(
+                f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
 
 
 def complex_gaussians(rng: RngStream, shape) -> np.ndarray:

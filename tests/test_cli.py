@@ -259,8 +259,10 @@ class TestDecohere:
           "dynamics": "exact-haar"}, "pointer_count"),
         ({"pointer_count": 2, "coefficients": [{}, 0.6], "env_qubits": 4,
           "dynamics": "exact-haar"}, "coefficients"),
+        ({"pointer_count": 2, "coefficients": [0.8, 0.6], "env_qubits": 4,
+          "dynamics": "chaotic-circuit", "depht": 1}, "depht"),
     ], ids=["missing-key", "array", "scalar-thetas", "scalar-coefficients",
-            "null-count", "object-coefficient"])
+            "null-count", "object-coefficient", "unknown-key"])
     def test_malformed_config_is_usage_error(self, config, key, capsys,
                                              tmp_path):
         # exit 1 means a failed statistical test, so a bad config must
@@ -437,6 +439,20 @@ def run_module(*args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "quasiortho", *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # scipy.stats alone took about 1 s of every CLI run's start-up
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, quasiortho, quasiortho.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "quasiortho.cli" in loaded
+    for name in ("scipy.stats", "scipy.special", "scipy.linalg"):
+        assert name not in loaded
 
 
 def test_module_entry_point_runs_from_source():

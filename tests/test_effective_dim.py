@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import quasiortho.effective_dim
+
 from quasiortho import (
     EffectiveDimensionReport,
     RngStream,
@@ -76,6 +78,39 @@ class TestSpectrum:
         path.write_text("\n\n".join(lines) + "\n", encoding="utf-8")
         got = Spectrum.from_file(path).energies
         assert got.tobytes() == np.array([float(x) for x in lines]).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "10\n11\n\n\n12\n13\n",           # blank lines
+        "0.5\r\n1.5\r\n\r\n2.5\r\n",       # CRLF
+        "10\x0c11\x0c\n12\n",              # form feed splits lines too
+        "10\n11\n125",                     # no trailing newline
+        "10\n11\n\n\n\n\n\n12\n",          # slices that hold only blanks
+        "\n\n  \n\t\n",                    # nothing but blank lines
+        "1" + "\n" * 9 + "25" + " " * 20 + "\n375\n",
+    ])
+    @pytest.mark.parametrize("chars", [1, 2, 3, 5, 8])
+    def test_slices_parse_as_the_whole_text(self, text, chars, monkeypatch,
+                                            tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            read = fh.read()
+        want = np.array([line for line in read.splitlines() if line.strip()],
+                        dtype=float)
+        monkeypatch.setattr(quasiortho.effective_dim, "_PARSE_SLICE_CHARS",
+                            chars)
+        got = Spectrum.from_file(path).energies
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chars", [1, 4, 1 << 18])
+    def test_bad_line_in_any_slice_raises(self, chars, monkeypatch, tmp_path):
+        monkeypatch.setattr(quasiortho.effective_dim, "_PARSE_SLICE_CHARS",
+                            chars)
+        path = tmp_path / "levels.txt"
+        for text in ["x\n1\n2\n3\n", "0\n1\n2\n3\nabc\n", "0\n1\n2\n3\nabc"]:
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                Spectrum.from_file(path)
 
     def test_callers_array_stays_writable(self):
         e = np.array([0.0, 1.0, 2.0])

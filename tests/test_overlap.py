@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norm
 
 import quasiortho.overlap
 from quasiortho import (
@@ -331,6 +331,19 @@ class TestWilsonInterval:
             wilson_interval(11, 10, 0.05)
         with pytest.raises(ValueError):
             wilson_interval(5, 10, 0.0)
+
+    @pytest.mark.parametrize("alpha", np.geomspace(1e-12, 1 - 1e-6, 41))
+    def test_equals_the_scipy_stats_formula(self, alpha):
+        z = float(norm.ppf(1.0 - alpha / 2.0))
+        for k, n in [(0, 1), (3, 7), (500, 1000), (99_999, 100_000)]:
+            p_hat = k / n
+            denom = 1.0 + z ** 2 / n
+            center = (p_hat + z ** 2 / (2 * n)) / denom
+            half = (z / denom) * math.sqrt(p_hat * (1 - p_hat) / n
+                                           + z ** 2 / (4 * n ** 2))
+            want = (max(0.0, min(center - half, p_hat)),
+                    min(1.0, max(center + half, p_hat)))
+            assert wilson_interval(k, n, alpha) == want
 
     @given(
         n=st.integers(min_value=1, max_value=10_000),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from quasiortho import (
     QuasiOrthogonalFamily,
@@ -380,6 +381,10 @@ class TestSuccessRateExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             success_rate_experiment(8, 0.5, 2, 10, RngStream(0))
+
+    def test_alpha_is_the_two_sided_three_sigma_level(self):
+        report = success_rate_experiment(2, 0.999999, 3, 30, RngStream(10))
+        assert report.alpha == 2.0 * float(norm.sf(3.0))
 
     @pytest.mark.parametrize("cap, value", [("MAX_STATE_DIM", 8),
                                             ("MAX_SAMPLE_COUNT", 40),

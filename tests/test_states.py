@@ -20,6 +20,7 @@ from quasiortho import (
     overlap_sq,
     tensor,
 )
+import quasiortho.states
 from quasiortho import QuasiOrthogonalFamily, limits
 from quasiortho.decoherence import MeasurementModel, generate_branches
 from quasiortho.states import (NORM_ATOL, UNITARY_ATOL, _apply_gate,
@@ -270,6 +271,27 @@ class TestUnitaryStackCheck:
         gates[3] = bad
         with pytest.raises(ValueError, match="not unitary"):
             _check_unitary(gates)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, 1.0, 1.0, 1.0 + 10 * UNITARY_ATOL]),
+        np.full((4, 4), np.nan),
+        np.full((4, 4), np.inf),
+    ])
+    def test_bad_matrix_in_the_last_slice_fails(self, bad, monkeypatch):
+        # slices of 2 gates: a (3, 5, 4, 4) stack is checked in 8 slices,
+        # the last holding one gate
+        monkeypatch.setattr(quasiortho.states, "_CHECK_SLICE_ENTRIES", 32)
+        gates = _haar_unitaries(4, 15, RngStream(12)).reshape(3, 5, 4, 4)
+        _check_unitary(gates)
+        gates[2, 4] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_unitary(gates)
+
+    def test_check_leaves_the_stack_unchanged(self):
+        gates = self.stack()
+        before = gates.copy()
+        _check_unitary(gates)
+        assert gates.tobytes() == before.tobytes()
 
     def test_unitary_constructor_uses_the_same_rule(self):
         with pytest.raises(ValueError, match="not unitary"):
