@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+# numpy 2 loads its random subpackage on first use; load it with this
+# module, since every seeded run needs it, so a run's first draw does
+# not pay for the import
+import numpy.random  # noqa: F401
 
 from .validate import integer
 
