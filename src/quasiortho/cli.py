@@ -64,7 +64,7 @@ def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
     # the normalized parameter set, not raw argv: output paths and
     # formatting flags must not break byte-identical reproducibility
     # numpy fixes the PCG64 and normal-draw streams; scipy draws nothing
-    # (only wilson_interval loads it) and is recorded for completeness
+    # (only wilson_interval uses it)
     prov = {"command": command, "version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
