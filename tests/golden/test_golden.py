@@ -64,6 +64,12 @@ CASES = {
                                "integrable", "--theta", "0", "0.3", "2.0",
                                "--coeffs", "0.6", "0.48", "0.64",
                                "--trials", "30", "--seed", "12"],
+    # integrable records at n=14 with angles at the sign and wrap-around
+    # edges of cos and sin
+    "decohere_integrable_n14_edges": ["decohere", "--n", "14", "--dynamics",
+                                      "integrable", "--theta", "0",
+                                      "3.141592653589793", "-6.4", "7.0",
+                                      "--trials", "30", "--seed", "14"],
     "decohere_exact_haar_k3": ["decohere", "--n", "9", "--k", "3",
                                "--dynamics", "exact-haar",
                                "--coeffs", "0.6", "0.48", "0.64",
