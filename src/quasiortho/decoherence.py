@@ -34,8 +34,7 @@ import numpy as np
 from . import limits
 from .rng import RngStream
 from .states import (StateVector, _apply_gate, _check_unit_rows,
-                     _check_unitary, _haar_rows, _haar_unitaries, basis_state,
-                     pairwise_overlap_sq)
+                     _check_unitary, _haar_rows, _haar_unitaries, basis_state)
 from .validate import integer, real
 
 __all__ = [
@@ -262,25 +261,6 @@ def _rotation_y(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def _product_record(theta: float, n: int) -> np.ndarray:
-    """R_y(theta)^(x n) |0...0> as the left-fold Kronecker power of
-    (cos theta/2, sin theta/2), qubit 0 on the slow index.
-
-    Each amplitude is the product of its qubits' factors in qubit
-    order, which is what the gate loop computes, so the record equals
-    it in value (only the sign of zero imaginary parts may differ).
-    """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    out = np.ones(1)
-    for _ in range(n):
-        prev = out
-        out = np.empty((prev.size, 2))
-        out[:, 0] = prev * c
-        out[:, 1] = prev * s
-        out = out.reshape(-1)
-    return out.astype(np.complex128)
-
-
 # Complex entries of records plus gates that one block of trials may hold
 # (1 MB). It fits 8 trials at n=10, k=2 and one at n=14, k=8; a 64 MB
 # block made n=14 slower.
@@ -313,13 +293,15 @@ def _records(model: MeasurementModel, streams) -> np.ndarray:
     * chaotic-circuit: each branch draws all its gates in one
       ``_haar_unitaries`` batch, layer by layer and left to right within
       a layer (bit-identical to one ``haar_unitary(4)`` call per gate in
-      that order). The block's gates are checked once, and each
-      brickwork site is one stacked product over every branch of the
-      block, bit-identical to applying it branch by branch.
-    * integrable-product: draws nothing, so every trial gets the same
-      records. From |0...0> they are built in closed form
-      (``_product_record``); from any other initial state the k rotations
-      of each qubit are one stacked product.
+      that order). Each brickwork site is one stacked product over
+      every branch of the block, bit-identical to applying it branch by
+      branch.
+    * integrable-product: a circuit that draws nothing, so every trial
+      gets the same records. The sites are ``(q,)`` for every qubit, and
+      pointer value i's gate on each of them is ``_rotation_y(thetas[i])``.
+
+    Both circuit dynamics check the block's gates once and run one
+    ``_apply_gate`` loop over the sites from ``model.initial_state()``.
     """
     n, k, d = model.env_qubits, model.pointer_count, model.env_dim
     if model.dynamics == "exact-haar":
@@ -330,22 +312,17 @@ def _records(model: MeasurementModel, streams) -> np.ndarray:
         _check_unit_rows(out)
         return out
     if model.dynamics == "integrable-product":
-        if model.env_initial is None:
-            rows = np.stack([_product_record(t, n) for t in model.thetas])
-        else:
-            gates = np.stack([_rotation_y(t) for t in model.thetas])
-            _check_unitary(gates)
-            rows = np.repeat(model.env_initial.amplitudes[None], k, axis=0)
-            for q in range(n):
-                rows = _apply_gate(gates, (q,), rows)
-        out = np.empty((len(streams), k, d), dtype=np.complex128)
-        out[:] = rows
-        return out
-    sites = _brickwork(model)
-    gates = np.empty((len(streams) * k, len(sites), 4, 4), dtype=np.complex128)
-    for b, stream in enumerate(streams):
-        for i in range(k):
-            gates[b * k + i] = _haar_unitaries(4, len(sites), stream.substream(i))
+        sites = [(q,) for q in range(n)]
+        gates = np.stack([[_rotation_y(t)] * n for t in model.thetas]
+                         * len(streams))
+    else:
+        sites = _brickwork(model)
+        gates = np.empty((len(streams) * k, len(sites), 4, 4),
+                         dtype=np.complex128)
+        for b, stream in enumerate(streams):
+            for i in range(k):
+                gates[b * k + i] = _haar_unitaries(4, len(sites),
+                                                   stream.substream(i))
     _check_unitary(gates)
     amps = np.repeat(model.initial_state().amplitudes[None], len(gates), axis=0)
     for j, targets in enumerate(sites):
@@ -442,21 +419,20 @@ def max_coherence(rho: ReducedDensityMatrix) -> float:
     return float(mags.max()) if rho.dim > 1 else 0.0
 
 
-def _pair_overlaps(branches: BranchSet) -> np.ndarray:
-    return np.concatenate(list(pairwise_overlap_sq(branches.rows)))
-
-
 def typicality_ratio(branches: BranchSet, d_eff: float) -> float:
     """Mean pairwise squared overlap times d_eff.
 
     Near 1 for records that look like typical vectors of a
     d_eff-dimensional subspace; far above 1 signals a pair-typicality
-    violation.
+    violation. The overlaps are |G_ij|^2, i < j, of the ``gram_matrix``,
+    as in ``suppression_experiment``.
     """
-    if branches.count < 2:
+    k = branches.count
+    if k < 2:
         raise ValueError("typicality needs at least two branches")
     d_eff = real("d_eff", d_eff, 1.0)
-    return float(np.mean(_pair_overlaps(branches))) * d_eff
+    gram = gram_matrix(branches)
+    return float(np.mean(np.abs(gram[np.triu_indices(k, 1)]) ** 2)) * d_eff
 
 
 @dataclass(frozen=True)
@@ -540,13 +516,16 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     Trials run in blocks of bounded memory (``_records``); integrable
     trials draw nothing, so their records, Gram and density matrix are
     formed once and copied into every trial's row. Each trial forms one
-    record Gram matrix; its pair overlaps and its validated reduced
-    density matrix are bit-identical to ``_pair_overlaps`` and
-    ``reduced_density`` on the same records.
+    record Gram matrix and takes from it both its pair overlaps
+    |G_ij|^2, i < j, as ``typicality_ratio`` does, and its validated
+    reduced density matrix, bit-identical to ``reduced_density`` on the
+    same records. The output's trials x k(k-1)/2 overlaps are capped by
+    ``limits.check_sample_count`` before anything is allocated or drawn.
     """
     trials = integer("trials", trials, 30)
     k = model.pointer_count
     upper = np.triu_indices(k, 1)
+    limits.check_sample_count(trials * upper[0].size)
     pair_overlaps = np.empty((trials, upper[0].size), dtype=float)
     max_coherences = np.empty(trials, dtype=float)
 

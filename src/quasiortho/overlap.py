@@ -171,7 +171,12 @@ class TestReport:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted squared-overlap draws plus the seed record that made them."""
+    """Sorted squared-overlap draws plus the seed record that made them.
+
+    ``values`` is a read-only view of a contiguous float64 input, which
+    is not copied: the caller's array stays writable, and writing to it
+    later changes the sample unchecked.
+    """
 
     dim: int
     values: np.ndarray
@@ -179,7 +184,7 @@ class EmpiricalSample:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", integer("dim", self.dim, 2))
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        vals = np.ascontiguousarray(self.values, dtype=float).view()
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a non-empty 1-D sequence")
         # a NaN fails every comparison, so it cannot pass either check;

@@ -232,6 +232,21 @@ class TestDecohere:
                            "--seed", "1"], capsys)
         assert code == 3
 
+    def test_trials_over_the_sample_cap_exit_3_before_drawing(
+            self, monkeypatch, tmp_path):
+        draws = []
+        real = quasiortho.states.complex_gaussians
+        monkeypatch.setattr(quasiortho.states, "complex_gaussians",
+                            lambda *a: draws.append(a) or real(*a))
+        # 1001 trials of k=2 records hold 1001 pair overlaps
+        monkeypatch.setattr(quasiortho.limits, "MAX_SAMPLE_COUNT", 1000)
+        out = tmp_path / "out.csv"
+        assert main(["decohere", "--n", "4", "--k", "2", "--trials", "1001",
+                     "--seed", "1", "--output", str(out),
+                     "--no-timestamp"]) == 3
+        assert draws == []
+        assert not out.exists()
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({

@@ -26,9 +26,10 @@ from quasiortho import (
     suppression_experiment,
     typicality_ratio,
 )
-from quasiortho.states import Unitary, apply_local, haar_unitary
+from quasiortho.states import (Unitary, apply_local, haar_unitary,
+                               pairwise_overlap_sq)
 from quasiortho import decoherence as dc
-from quasiortho.decoherence import ATYPICAL_RATIO, _pair_overlaps
+from quasiortho.decoherence import ATYPICAL_RATIO
 from quasiortho.overlap import EmpiricalSample
 
 COS20_01 = 0.904686221058675  # cos^20(0.1), extended-precision oracle
@@ -95,20 +96,24 @@ def per_gate_records(model, rng):
     return records
 
 
+def kernel_pair_overlaps(rows):
+    """Reference pair overlaps |<E_j|E_i>|^2, i < j, in lexicographic
+    order, from the blocked ``pairwise_overlap_sq`` kernel."""
+    return np.concatenate(list(pairwise_overlap_sq(rows)))
+
+
 def non_basis_initial(n):
     return haar_state(2 ** n, RngStream(404))
 
 
-# angles at which the closed-form integrable record meets the sign and
-# wrap-around edges of cos and sin
+# angles at the sign and wrap-around edges of cos and sin
 EDGE_THETAS = (0.0, math.pi, -math.pi, 2 * math.pi, -6.4, 7.0)
 GENERIC_PHASES3 = np.exp(1j * np.arange(3)) * np.array([1.0, 1.5, 2.0])
 GENERIC_PHASES3 /= np.linalg.norm(GENERIC_PHASES3)
 
 
 class TestRecordsMatchPerGateReference:
-    """Batched draws, the raw-array gate loop and closed-form integrable
-    records change no value."""
+    """Batched draws and the raw-array gate loop change no byte."""
 
     @pytest.mark.parametrize("model", [
         MeasurementModel(pointer_count=2, coefficients=UNIFORM2, env_qubits=6,
@@ -130,14 +135,13 @@ class TestRecordsMatchPerGateReference:
             "integrable-n2-edges", "integrable-n14-edges"])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_records_bit_identical(self, model, seed):
-        # equal in value; the closed-form integrable record may carry
-        # +0.0 where the gate loop left -0.0 in an imaginary part
+        # bytes, not values: the sign of a zero must match too
         rng = RngStream(seed, 2)
         got = generate_branches(model, rng).branches
         want = per_gate_records(model, rng)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert np.array_equal(g.amplitudes, w)
+            assert g.amplitudes.tobytes() == w.tobytes()
 
     def test_suppression_outputs_bit_identical(self):
         models = {
@@ -168,7 +172,7 @@ class TestRecordsMatchPerGateReference:
                                    per_gate_records(model, rng.substream(t))),
                     generation_record={})
                 assert np.array_equal(result.pair_overlaps[t],
-                                      _pair_overlaps(records)), (name, t)
+                                      kernel_pair_overlaps(records.rows)), (name, t)
                 assert result.max_coherences[t] == max_coherence(
                     reduced_density(model, records)), (name, t)
                 # rho as it was formed from the transposed gram_matrix
@@ -459,7 +463,9 @@ class TestGramAndDensity:
         bs = BranchSet(branches=tuple(haar_state(4, rng) for _ in range(k)),
                        generation_record={})
         dense = np.abs(gram_matrix(bs)[np.triu_indices(k, k=1)]) ** 2
-        assert np.array_equal(_pair_overlaps(bs), dense)
+        kernel = kernel_pair_overlaps(bs.rows)
+        assert np.array_equal(kernel, dense)
+        assert typicality_ratio(bs, 4) == float(np.mean(kernel)) * 4
 
     def test_branch_count_mismatch(self):
         m = exact_haar_model(3, k=3, coeffs=np.full(3, 1 / math.sqrt(3)))
@@ -587,6 +593,15 @@ class TestSuppressionExperiment:
 
         outputs = (300 - 30) * 8 * (6 + 1)
         assert peak(300) <= peak(30) + outputs + 64 * 1024
+
+    def test_output_over_the_sample_cap_is_refused(self, monkeypatch):
+        # 30 trials of k=3 records hold 90 pair overlaps
+        monkeypatch.setattr(dc.limits, "MAX_SAMPLE_COUNT", 89)
+        m = exact_haar_model(3, k=3, coeffs=np.full(3, 1 / math.sqrt(3)))
+        with pytest.raises(ResourceLimitError):
+            suppression_experiment(m, 30, RngStream(0))
+        monkeypatch.setattr(dc.limits, "MAX_SAMPLE_COUNT", 90)
+        assert suppression_experiment(m, 30, RngStream(0)).pair_overlaps.size == 90
 
     def test_callers_arrays_stay_writable(self):
         overlaps, coherences = np.zeros((30, 1)), np.zeros(30)

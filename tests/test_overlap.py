@@ -368,3 +368,10 @@ class TestReportAndSample:
             EmpiricalSample(4, np.array([0.2, 0.1]), (0, 0))  # unsorted
         with pytest.raises(ValueError):
             EmpiricalSample(4, np.array([-0.1, 0.2]), (0, 0))  # range
+
+    def test_callers_values_stay_writable(self):
+        a = np.array([0.1, 0.2, 0.7])
+        sample = EmpiricalSample(dim=4, values=a, seed_record=(0, 0))
+        assert not sample.values.flags.writeable
+        a[0] = 0.05
+        assert a.flags.writeable
