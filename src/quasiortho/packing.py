@@ -19,8 +19,8 @@ import numpy as np
 from . import limits
 from .overlap import TestReport
 from .rng import RngStream
-from .states import (StateVector, _check_unit_rows, _haar_rows,
-                     pairwise_overlap_sq)
+from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _check_unit_rows,
+                     _haar_rows, pairwise_overlap_sq)
 from .validate import integer, real
 
 __all__ = [
@@ -48,6 +48,10 @@ MAX_QUBITS_ANALYTIC = 1000
 # the module does not import scipy.stats (about 1 s of start-up).
 # math.erfc(3 / math.sqrt(2)) differs from it by about 11 ulp.
 _ALPHA_3SIGMA = 0.0026997960632601866
+# Candidates drawn and checked together by greedy_construct: one
+# matrix-matrix product per batch instead of one matrix-vector product
+# per candidate. 64 measured best; 32-128 was flat.
+_GREEDY_BATCH = 64
 
 
 def log_lower_bound(d: int, eps: float) -> float:
@@ -237,6 +241,16 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     """Rejection variant: keep a Haar sample only if the family stays
     eps-quasi-orthogonal.
 
+    Candidates are drawn and checked in batches of up to
+    ``_GREEDY_BATCH``: one matrix product against the accepted rows,
+    then, in candidate order, against the ones accepted earlier in the
+    batch, read from the batch's own Gram matrix. A batch is never
+    larger than the rows still wanted or the attempts left, so the call
+    draws exactly the candidates of the one-at-a-time loop and leaves
+    ``rng`` where that loop does. The accepted rows are taken in slices,
+    so the check holds at most ``_GRAM_BLOCK_ENTRIES`` overlaps at a
+    time whatever ``target_m``.
+
     Always returns a certified family; it may be shorter than
     ``target_m`` when the attempt budget runs out.
     """
@@ -247,15 +261,24 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     limits.check_state_dim(d)
     limits.check_pairwise_ops(target_m, d)
     buffer = np.empty((target_m, d), dtype=np.complex128)
-    size = 0
-    for _ in range(max_attempts):
-        row = _haar_rows(d, 1, rng)[0]
-        if size and np.max(np.abs(buffer[:size] @ row.conj()) ** 2) > eps:
-            continue
-        buffer[size] = row
-        size += 1
-        if size == target_m:
-            break
+    size = attempts = 0
+    while size < target_m and attempts < max_attempts:
+        b = min(_GREEDY_BATCH, target_m - size, max_attempts - attempts)
+        attempts += b
+        cand = _haar_rows(d, b, rng)
+        cand_conj_t = cand.conj().T
+        worst = np.zeros(b)
+        step = max(1, _GRAM_BLOCK_ENTRIES // b)
+        for lo in range(0, size, step):
+            cross = np.abs(buffer[lo:min(lo + step, size)] @ cand_conj_t) ** 2
+            np.maximum(worst, cross.max(axis=0), out=worst)
+        clash = np.abs(cand @ cand_conj_t) ** 2 > eps
+        kept = []
+        for j in np.flatnonzero(worst <= eps):
+            if not clash[kept, j].any():
+                kept.append(j)
+        buffer[size:size + len(kept)] = cand[kept]
+        size += len(kept)
     accepted = buffer[:size]
     max_pairwise, _ = _pairwise_stats(accepted, eps)
     return QuasiOrthogonalFamily(dim=d, eps=eps, rows=accepted,

@@ -157,14 +157,21 @@ def complex_gaussians(rng: RngStream, shape) -> np.ndarray:
 
     Draw layout is row-major over ``shape + (2,)`` real normals, which
     makes chunked draws bit-identical to a single large draw.
+
+    The scale is a real multiply of the normals by ``1 / sqrt(2)``, which
+    has the bits of the complex division ``g / sqrt(2)``: numpy divides
+    by ``s + 0j`` as ``(re + im * 0) * (1 / s)``, and ``re + im * 0`` is
+    ``re`` for every finite entry except -0.0 (the division may give
+    +0.0). The two differ only there and for non-finite entries, which a
+    normal draw never yields.
     """
     dims = tuple(integer("shape entry", n, 0) for n in np.atleast_1d(shape))
     z = rng.generator.standard_normal(dims + (2,))
-    # the trailing (re, im) pair is complex128's own layout, so the view
-    # and the in-place divide make no temporaries
-    g = z.view(np.complex128)[..., 0]
-    g /= np.sqrt(2.0)
-    return g
+    # numpy's complex division runs Smith's algorithm, about 7x slower
+    # than this multiply; the trailing (re, im) pair is complex128's own
+    # layout, so neither step makes a temporary
+    z *= 1.0 / np.sqrt(2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def basis_state(d: int, index: int = 0) -> StateVector:
@@ -198,9 +205,16 @@ def haar_state(d: int, rng: RngStream) -> StateVector:
 def _haar_rows(d: int, m: int, rng: RngStream) -> np.ndarray:
     """``(m, d)`` Haar-random unit rows from one Gaussian draw, not
     validated; row i is bit-identical to the i-th of m sequential
-    ``haar_state(d, rng)`` calls on the same stream."""
+    ``haar_state(d, rng)`` calls on the same stream.
+
+    Each row is scaled in place by a real multiply of its float view by
+    ``1 / norm``, which has the bits of ``g / norm`` for the reason given
+    in :func:`complex_gaussians` (they differ only at -0.0 and
+    non-finite entries)."""
     g = complex_gaussians(rng, (m, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    parts = g.view(np.float64)
+    parts *= 1.0 / np.linalg.norm(g, axis=1, keepdims=True)
+    return g
 
 
 def inner(psi: StateVector, phi: StateVector) -> complex:

@@ -25,8 +25,8 @@ from quasiortho import (
     union_bound_failure,
     verify,
 )
-from quasiortho import limits
-from quasiortho.packing import _pairwise_stats
+from quasiortho import limits, packing
+from quasiortho.packing import _GREEDY_BATCH, _pairwise_stats
 from quasiortho.states import _haar_rows, pairwise_overlap_sq
 
 # Extended-precision oracle values (mpmath, 60 digits)
@@ -238,6 +238,67 @@ class TestGreedyConstruct:
             greedy_construct(4, 0.1, 0, 10, RngStream(0))
         with pytest.raises(ValueError):
             greedy_construct(4, 0.1, 10, 5, RngStream(0))
+
+
+def greedy_reference(d, eps, target_m, max_attempts, rng):
+    """The one-candidate-at-a-time loop ``greedy_construct`` batches:
+    one draw and one matrix-vector check per attempt."""
+    buffer = np.empty((target_m, d), dtype=np.complex128)
+    size = 0
+    for _ in range(max_attempts):
+        row = _haar_rows(d, 1, rng)[0]
+        if size and np.max(np.abs(buffer[:size] @ row.conj()) ** 2) > eps:
+            continue
+        buffer[size] = row
+        size += 1
+        if size == target_m:
+            break
+    accepted = buffer[:size]
+    return accepted, _pairwise_stats(accepted, eps)[0]
+
+
+class TestGreedyMatchesSequentialLoop:
+    # (d, eps, target_m, max_attempts, seed)
+    CASES = {
+        # 100 is no multiple of the batch size: the last batch is short
+        "target-mid-batch": (32, 0.2, 100, 10_000, 21),
+        "many-batches": (64, 0.3, 4 * _GREEDY_BATCH + 5, 10_000, 22),
+        "budget-runs-out": (8, 0.3, 60, 150, 23),
+        "eps-zero": (4, 0.0, 5, 200, 24),
+        "d-one": (1, 0.5, 3, 100, 25),
+        "target-one": (8, 0.3, 1, 10, 26),
+        "benchmark-shape": (128, 0.06, 2000, 200_000, 1001),
+    }
+
+    def check(self, d, eps, target_m, max_attempts, seed):
+        rng, ref_rng = RngStream(seed), RngStream(seed)
+        fam = greedy_construct(d, eps, target_m, max_attempts, rng)
+        rows, max_pairwise = greedy_reference(d, eps, target_m,
+                                              max_attempts, ref_rng)
+        assert fam.size == len(rows)
+        assert fam.rows.tobytes() == rows.tobytes()
+        assert fam.max_pairwise == max_pairwise
+        # the batches drew exactly the loop's candidates
+        assert (rng.generator.standard_normal()
+                == ref_rng.generator.standard_normal())
+        return fam
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_family_and_stream(self, case):
+        d, eps, target_m, max_attempts, _ = self.CASES[case]
+        fam = self.check(*self.CASES[case])
+        if case == "budget-runs-out":
+            assert fam.size < target_m
+        if case in ("eps-zero", "d-one"):
+            assert fam.size == 1
+        if case == "benchmark-shape":
+            assert fam.size == target_m
+
+    def test_sliced_cross_block(self, monkeypatch):
+        # 200 entries: at most 3 accepted rows per slice of a full batch
+        monkeypatch.setattr(packing, "_GRAM_BLOCK_ENTRIES", 200)
+        fam = self.check(16, 0.4, 150, 3000, 27)
+        assert fam.size == 150
 
 
 class TestVerify:

@@ -338,6 +338,14 @@ class TestHaarRows:
                 == stream.generator.standard_normal())
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 1024, 2 ** 14])
+    def test_bytes_equal_the_complex_division(self, d):
+        rows = _haar_rows(d, 5, RngStream(15, d))
+        g = complex_gaussians(RngStream(15, d), (5, d))
+        ref = g / np.linalg.norm(g, axis=1, keepdims=True)
+        assert rows.tobytes() == ref.tobytes()
+
+
 class TestUnitRowCheck:
     def stack(self):
         return _haar_rows(8, 6, RngStream(13))
