@@ -285,8 +285,8 @@ class TestGreedyMatchesSequentialLoop:
 
     @pytest.mark.parametrize("case", CASES)
     def test_same_family_and_stream(self, case):
-        d, eps, target_m, max_attempts, _ = self.CASES[case]
         fam = self.check(*self.CASES[case])
+        target_m = self.CASES[case][2]
         if case == "budget-runs-out":
             assert fam.size < target_m
         if case in ("eps-zero", "d-one"):

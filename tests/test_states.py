@@ -337,7 +337,6 @@ class TestHaarRows:
         assert (RngStream(14, d).generator.standard_normal(2 * m * d + 1)[-1]
                 == stream.generator.standard_normal())
 
-
     @pytest.mark.parametrize("d", [1, 2, 3, 64, 1024, 2 ** 14])
     def test_bytes_equal_the_complex_division(self, d):
         rows = _haar_rows(d, 5, RngStream(15, d))
