@@ -25,8 +25,11 @@ dynamics are provided:
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,8 +266,14 @@ def _rotation_y(theta: float) -> np.ndarray:
 
 # Complex entries of records plus gates that one block of trials may hold
 # (1 MB). It fits 8 trials at n=10, k=2 and one at n=14, k=8; a 64 MB
-# block made n=14 slower.
+# block made n=14 slower. Each of the at most ``_MAX_WORKERS`` workers of
+# ``suppression_experiment`` allocates, once per call, the buffers of one
+# block: its records and their conjugates (16 B an entry) and their
+# squared moduli (8 B), plus one record of scratch. So the buffers hold at
+# most 2 x 2.5 x max(1 MB, one trial's records), plus two records.
 _BLOCK_ENTRIES = 1 << 16
+# Threads that run the blocks of one ``suppression_experiment`` call.
+_MAX_WORKERS = 2
 
 
 def _brickwork(model: MeasurementModel) -> list:
@@ -281,15 +290,21 @@ def _block_trials(model: MeasurementModel) -> int:
     return max(1, _BLOCK_ENTRIES // per_trial)
 
 
-def _records(model: MeasurementModel, streams) -> np.ndarray:
+def _records(model: MeasurementModel, streams, out=None,
+             scratch=None) -> np.ndarray:
     """``(len(streams), k, 2**n)`` records of a block of trials: the one
     record kernel. Trial b's pointer value i draws from
-    ``streams[b].substream(i)``.
+    ``streams[b].substream(i)``. The records are not unit-checked here;
+    callers check them.
+
+    ``out``, if given, is a C-contiguous complex128 array of that shape
+    that receives the records and is returned; ``scratch``, if given, is
+    a ``(1, 2**n)`` one that exact-haar norms are formed in. Neither
+    changes a bit of the records.
 
     * exact-haar: each record is one ``_haar_rows(d, 1, ...)`` draw,
       equal in law to an independent Haar unitary applied to the initial
-      state at O(2^n) rather than O(2^3n) cost; the block's norms are
-      checked once.
+      state at O(2^n) rather than O(2^3n) cost.
     * chaotic-circuit: each branch draws all its gates in one
       ``_haar_unitaries`` batch, layer by layer and left to right within
       a layer (bit-identical to one ``haar_unitary(4)`` call per gate in
@@ -304,12 +319,13 @@ def _records(model: MeasurementModel, streams) -> np.ndarray:
     ``_apply_gate`` loop over the sites from ``model.initial_state()``.
     """
     n, k, d = model.env_qubits, model.pointer_count, model.env_dim
-    if model.dynamics == "exact-haar":
+    if out is None:
         out = np.empty((len(streams), k, d), dtype=np.complex128)
+    if model.dynamics == "exact-haar":
         for b, stream in enumerate(streams):
             for i in range(k):
-                out[b, i] = _haar_rows(d, 1, stream.substream(i))[0]
-        _check_unit_rows(out)
+                _haar_rows(d, 1, stream.substream(i), out=out[b, i:i + 1],
+                           scratch=scratch)
         return out
     if model.dynamics == "integrable-product":
         sites = [(q,) for q in range(n)]
@@ -327,7 +343,8 @@ def _records(model: MeasurementModel, streams) -> np.ndarray:
     amps = np.repeat(model.initial_state().amplitudes[None], len(gates), axis=0)
     for j, targets in enumerate(sites):
         amps = _apply_gate(gates[:, j], targets, amps)
-    return amps.reshape(len(streams), k, d)
+    out[...] = amps.reshape(out.shape)
+    return out
 
 
 def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
@@ -356,10 +373,7 @@ def gram_matrix(branches: BranchSet) -> np.ndarray:
     are bit-identical to that kernel's; its lower triangle is not always
     the conjugate of its upper one in the last bit.
     """
-    return _gram(branches.rows)
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
+    rows = branches.rows
     return rows.conj() @ rows.T
 
 
@@ -378,14 +392,7 @@ class ReducedDensityMatrix:
         rho = np.ascontiguousarray(self.matrix, dtype=np.complex128).view()
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
-        # an inf entry makes the difference NaN, which must reach the
-        # ValueError rather than a RuntimeWarning
-        with np.errstate(invalid="ignore"):
-            asymmetry = np.max(np.abs(rho - rho.conj().T))
-        if not asymmetry <= RHO_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        if not abs(np.trace(rho).real - 1.0) <= RHO_ATOL:
-            raise ValueError(f"trace {complex(np.trace(rho))!r} != 1")
+        _check_density(rho)
         if not np.min(np.linalg.eigvalsh(rho)) >= -RHO_EIG_ATOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         rho.setflags(write=False)
@@ -396,6 +403,23 @@ class ReducedDensityMatrix:
         return self.matrix.shape[0]
 
 
+def _check_density(rho: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a ``(..., k, k)`` stack is
+    Hermitian and of unit trace within ``RHO_ATOL``; NaN and inf raise it
+    too, not a RuntimeWarning. Positivity is ``ReducedDensityMatrix``'s
+    own check."""
+    # an inf entry makes the difference NaN, which must reach the
+    # ValueError rather than a RuntimeWarning
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(rho - np.conj(rho.swapaxes(-1, -2))).max()
+    if not asymmetry <= RHO_ATOL:
+        raise ValueError("density matrix is not Hermitian")
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    defect = np.abs(trace - 1.0).max()
+    if not defect <= RHO_ATOL:
+        raise ValueError(f"density matrix trace is off 1 by {defect!r}")
+
+
 def reduced_density(model: MeasurementModel,
                     branches: BranchSet) -> ReducedDensityMatrix:
     """System state rho_ij = c_i conj(c_j) <E_j|E_i> after the coupling."""
@@ -404,12 +428,8 @@ def reduced_density(model: MeasurementModel,
             f"model has {model.pointer_count} pointer values but "
             f"{branches.count} branches were given"
         )
-    return _density(model.coefficients, gram_matrix(branches))
-
-
-def _density(c: np.ndarray, gram: np.ndarray) -> ReducedDensityMatrix:
-    """Validated rho_ij = c_i conj(c_j) gram[j, i] from a ``gram_matrix``."""
-    return ReducedDensityMatrix(np.outer(c, c.conj()) * gram.T)
+    c = model.coefficients
+    return ReducedDensityMatrix(np.outer(c, c.conj()) * gram_matrix(branches).T)
 
 
 def max_coherence(rho: ReducedDensityMatrix) -> float:
@@ -507,42 +527,135 @@ class SuppressionResult:
         }
 
 
+def _block_statistics(c: np.ndarray, recs: np.ndarray, pairs: np.ndarray,
+                      coherences: np.ndarray, conj=None) -> None:
+    """Pair overlaps and max coherences of a ``(B, k, d)`` block of
+    unit-checked records, written to output rows ``pairs`` ``(B, k(k-1)/2)``
+    and ``coherences`` ``(B,)``; ``conj``, if given, is a complex128
+    buffer of the block's shape for the conjugate records.
+
+    One stacked product forms every trial's Gram matrix, bit-identical
+    to ``gram_matrix`` on that trial's records. From it come the pair
+    overlaps |G_ij|^2, i < j, as ``typicality_ratio`` takes them, and
+    rho = (c c^dagger) * G^T, whose largest off-diagonal modulus is
+    bit-identical to ``max_coherence(reduced_density(...))``. The block's
+    rho are checked for trace and Hermiticity, which catches NaN and inf
+    too; they are PSD by the Schur product theorem, so no eigenvalues are
+    taken.
+    """
+    k = recs.shape[1]
+    gram = np.conjugate(recs, out=conj) @ recs.swapaxes(-1, -2)
+    upper = np.triu_indices(k, 1)
+    np.square(np.abs(gram[:, upper[0], upper[1]]), out=pairs)
+    rho = np.outer(c, c.conj()) * gram.swapaxes(-1, -2)
+    _check_density(rho)
+    mags = np.abs(rho)
+    mags.reshape(len(mags), k * k)[:, ::k + 1] = 0.0
+    np.max(mags, axis=(1, 2), out=coherences)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_workers(work, starts) -> None:
+    """Run ``work(claims)`` on ``min(_MAX_WORKERS, _cpu_count(),
+    len(starts))`` workers: the calling thread, plus plain threads when
+    there is more than one.
+
+    ``claims`` yields the items of ``starts``, each to exactly one worker,
+    from one shared iterator. After an error every worker stops at its
+    next claim; all are joined, then the first error is raised. Each
+    thread runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in every worker.
+    """
+    count = min(_MAX_WORKERS, _cpu_count(), len(starts))
+    pending = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def claims():
+        while not errors:
+            with lock:
+                item = next(pending, None)
+            if item is None:
+                return
+            yield item
+
+    def run():
+        try:
+            work(claims())
+        except BaseException as exc:   # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run,)) for _ in range(count - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def suppression_experiment(model: MeasurementModel, trials: int,
                            rng: RngStream) -> SuppressionResult:
     """Regenerate branches per trial and collect overlap/coherence stats.
 
-    Trial t draws from ``rng.substream(t)``; the result therefore does
-    not depend on execution order and can be partitioned across workers.
-    Trials run in blocks of bounded memory (``_records``); integrable
-    trials draw nothing, so their records, Gram and density matrix are
-    formed once and copied into every trial's row. Each trial forms one
-    record Gram matrix and takes from it both its pair overlaps
-    |G_ij|^2, i < j, as ``typicality_ratio`` does, and its validated
-    reduced density matrix, bit-identical to ``reduced_density`` on the
-    same records. The output's trials x k(k-1)/2 overlaps are capped by
+    Trial t draws from ``rng.substream(t)``, so the result does not
+    depend on execution order, and the trials are partitioned across
+    workers: blocks of bounded memory (``_records``) run on up to
+    ``_MAX_WORKERS`` threads, never more than the CPUs the process may
+    use. Each worker allocates its block buffers once per call and
+    writes disjoint output rows, so the output bytes do not depend on the
+    worker count. Integrable trials draw nothing, so their records and
+    statistics are formed once, serially, and copied into every trial's
+    row. Every block of records is unit-checked, and its statistics come
+    from one pass (``_block_statistics``): pair overlaps |G_ij|^2,
+    i < j, as ``typicality_ratio`` takes them, and max coherences
+    bit-identical to ``max_coherence(reduced_density(...))`` on the same
+    records. The output's trials x k(k-1)/2 overlaps are capped by
     ``limits.check_sample_count`` before anything is allocated or drawn.
     """
     trials = integer("trials", trials, 30)
-    k = model.pointer_count
-    upper = np.triu_indices(k, 1)
-    limits.check_sample_count(trials * upper[0].size)
-    pair_overlaps = np.empty((trials, upper[0].size), dtype=float)
+    k, d = model.pointer_count, model.env_dim
+    pairs = k * (k - 1) // 2
+    limits.check_sample_count(trials * pairs)
+    pair_overlaps = np.empty((trials, pairs), dtype=float)
     max_coherences = np.empty(trials, dtype=float)
-
-    def fill(where, rows):
-        """Write the stats of one trial's records to output rows ``where``."""
-        gram = _gram(rows)
-        pair_overlaps[where] = np.abs(gram[upper]) ** 2
-        max_coherences[where] = max_coherence(_density(model.coefficients, gram))
+    c = model.coefficients
 
     if model.dynamics == "integrable-product":
-        fill(slice(None), _records(model, [rng])[0])
+        recs = _records(model, [rng])
+        _check_unit_rows(recs)
+        _block_statistics(c, recs, pair_overlaps[:1], max_coherences[:1])
+        pair_overlaps[1:] = pair_overlaps[0]
+        max_coherences[1:] = max_coherences[0]
     else:
-        step = _block_trials(model)
-        for t0 in range(0, trials, step):
-            streams = [rng.substream(t) for t in range(t0, min(t0 + step, trials))]
-            for t, rows in enumerate(_records(model, streams), t0):
-                fill(t, rows)
+        step = min(_block_trials(model), trials)
+
+        def work(claims):
+            """Draw, check and reduce the claimed blocks in own buffers."""
+            recs = np.empty((step, k, d), dtype=np.complex128)
+            conj = np.empty_like(recs)
+            squares = np.empty(recs.shape)
+            row = np.empty((1, d), dtype=np.complex128)
+            for t0 in claims:
+                t1 = min(t0 + step, trials)
+                block = _records(model, [rng.substream(t) for t in range(t0, t1)],
+                                 out=recs[:t1 - t0], scratch=row)
+                _check_unit_rows(block, squares[:t1 - t0])
+                _block_statistics(c, block, pair_overlaps[t0:t1],
+                                  max_coherences[t0:t1], conj[:t1 - t0])
+
+        _in_workers(work, range(0, trials, step))
     return SuppressionResult(
         model=model, trials=trials,
         pair_overlaps=pair_overlaps, max_coherences=max_coherences,

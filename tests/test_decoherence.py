@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -624,6 +627,153 @@ class TestSuppressionExperiment:
                     for t in reversed(range(5))]
         for f, b in zip(forward, reversed(backward)):
             assert f.tobytes() == b.tobytes()
+
+
+class TestWorkers:
+    """Blocks of trials on up to two threads: the same bytes, and errors
+    and the caller's error state reach the caller."""
+
+    MODELS = {
+        "chaotic-initial": MeasurementModel(
+            pointer_count=3, coefficients=np.array([0.6, 0.64j, 0.48]),
+            env_qubits=5, dynamics="chaotic-circuit", depth=4,
+            env_initial=non_basis_initial(5)),
+        "exact-haar-k3": exact_haar_model(7, k=3, coeffs=GENERIC_PHASES3),
+        # 8 trials per block, so 37 trials end on a partial block of 5
+        "chaotic-n10-partial": MeasurementModel(
+            pointer_count=2, coefficients=UNIFORM2, env_qubits=10,
+            dynamics="chaotic-circuit", depth=6),
+    }
+
+    @staticmethod
+    def record_threads(monkeypatch):
+        """Wrap ``_records`` to collect the threads that run it; the first
+        call lingers so that a second worker takes a block meanwhile."""
+        threads, original = [], dc._records
+
+        def records(*args, **kwargs):
+            if not threads:
+                time.sleep(0.05)
+            threads.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dc, "_records", records)
+        return threads
+
+    # block sizes that split 37 trials into several blocks, the last partial
+    @pytest.mark.parametrize("name, entries", [
+        ("chaotic-initial", 1 << 11),   # 4 trials per block
+        ("exact-haar-k3", 1 << 11),     # 5 trials per block
+        ("chaotic-n10-partial", dc._BLOCK_ENTRIES),
+    ])
+    def test_worker_count_changes_no_byte(self, name, entries, monkeypatch):
+        model = self.MODELS[name]
+        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", entries)
+        results, threads = {}, self.record_threads(monkeypatch)
+        for cpus in (1, 2):
+            monkeypatch.setattr(dc, "_cpu_count", lambda: cpus)
+            threads.clear()
+            results[cpus] = suppression_experiment(model, 37, RngStream(23))
+            assert len(set(threads)) == cpus
+        assert (results[1].pair_overlaps.tobytes()
+                == results[2].pair_overlaps.tobytes())
+        assert (results[1].max_coherences.tobytes()
+                == results[2].max_coherences.tobytes())
+
+    def test_many_workers_at_a_short_switch_interval(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # block claimed twice or never would change the bytes
+        model = self.MODELS["exact-haar-k3"]
+        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
+        monkeypatch.setattr(dc, "_cpu_count", lambda: 1)
+        serial = suppression_experiment(model, 200, RngStream(29))
+        monkeypatch.setattr(dc, "_MAX_WORKERS", 6)
+        monkeypatch.setattr(dc, "_cpu_count", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = suppression_experiment(model, 200, RngStream(29))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.pair_overlaps.tobytes() == serial.pair_overlaps.tobytes()
+        assert (threaded.max_coherences.tobytes()
+                == serial.max_coherences.tobytes())
+
+    def test_one_block_runs_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(dc, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1 << 40)
+        threads = self.record_threads(monkeypatch)
+        suppression_experiment(exact_haar_model(4), 37, RngStream(23))
+        assert threads == [threading.get_ident()]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_error_in_a_block_reaches_the_caller(self, cpus, monkeypatch):
+        monkeypatch.setattr(dc, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
+        calls, original = [], dc._records
+
+        def records(model, streams, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("block failed")
+            return original(model, streams, *args, **kwargs)
+
+        monkeypatch.setattr(dc, "_records", records)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block failed"):
+            suppression_experiment(exact_haar_model(4), 40, RngStream(2))
+        assert threading.active_count() == before
+        # every worker stops after the block it is running
+        assert len(calls) <= 3 + (cpus - 1) * 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_callers_error_state_holds_in_every_worker(self, cpus,
+                                                           monkeypatch):
+        monkeypatch.setattr(dc, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
+        original, main = dc._records, threading.main_thread()
+
+        def records(*args, **kwargs):
+            # with two workers only the started thread divides, while the
+            # calling thread lingers in its first block
+            if cpus == 1 or threading.current_thread() is not main:
+                np.divide(1.0, np.zeros(1))
+            else:
+                time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dc, "_records", records)
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                suppression_experiment(exact_haar_model(8), 40, RngStream(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["chaotic-initial", "exact-haar-k3"])
+    def test_a_non_finite_record_is_a_value_error(self, name, bad,
+                                                  monkeypatch):
+        original = dc._records
+
+        def records(*args, **kwargs):
+            out = original(*args, **kwargs)
+            out[-1, 1, 0] = bad
+            return out
+
+        monkeypatch.setattr(dc, "_records", records)
+        with pytest.raises(ValueError):
+            suppression_experiment(self.MODELS[name], 37, RngStream(2))
+
+    @pytest.mark.parametrize("defect", [np.nan, np.inf, 1e-6])
+    def test_block_density_check(self, defect):
+        # one bad matrix fails the stack, as a ValueError, not a warning
+        rho = np.stack([np.diag([0.5, 0.5]).astype(complex)] * 4)
+        dc._check_density(rho)
+        rho[2, 0, 1] = defect
+        with pytest.raises(ValueError, match="Hermitian"):
+            dc._check_density(rho)
+        rho[2, 0, 1] = 0.0
+        rho[3, 1, 1] = 0.5 + 1e-6
+        with pytest.raises(ValueError, match="trace"):
+            dc._check_density(rho)
 
 
 def test_integrable_overlap_exact_edges():
