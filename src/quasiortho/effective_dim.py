@@ -81,14 +81,22 @@ def _parse_lines(text: str) -> np.ndarray:
     """The non-blank lines of ``text`` as floats, with ``float()``'s
     parsing rules. Each slice of about ``_PARSE_SLICE_CHARS`` characters
     ends just after a newline, so ``splitlines`` sees whole lines and the
-    line list stays bounded whatever the file size."""
+    line list stays bounded whatever the file size.
+
+    A slice is parsed whole first. A blank or whitespace-only line makes
+    that parse raise ValueError, so only then is the slice parsed again
+    without its blank lines, which raises the error of a bad line."""
     parts = []
     start = 0
     while start < len(text):
         cut = text.find("\n", start + _PARSE_SLICE_CHARS - 1)
         end = len(text) if cut < 0 else cut + 1
-        parts.append(np.array([line for line in text[start:end].splitlines()
-                               if line.strip()], dtype=float))
+        lines = text[start:end].splitlines()
+        try:
+            parts.append(np.array(lines, dtype=float))
+        except ValueError:
+            parts.append(np.array([line for line in lines if line.strip()],
+                                  dtype=float))
         start = end
     return np.concatenate(parts) if parts else np.empty(0)
 

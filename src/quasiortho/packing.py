@@ -20,7 +20,7 @@ from . import limits
 from .overlap import TestReport
 from .rng import RngStream
 from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _check_unit_rows,
-                     _haar_rows, pairwise_overlap_sq)
+                     _gram_blocks, _haar_rows)
 from .validate import integer, real
 
 __all__ = [
@@ -192,20 +192,29 @@ class PackingReport:
 
 
 def _pairwise_stats(mat: np.ndarray, eps: float):
-    """Exact all-pairs max squared overlap and first violating pair."""
-    max_pairwise, first_bad, done = 0.0, None, 0
-    for vals in pairwise_overlap_sq(mat):
-        max_pairwise = max(max_pairwise, float(vals.max()))
+    """Exact all-pairs max squared overlap and first violating pair.
+
+    Works on the moduli blocks of ``_gram_blocks`` in place: the diagonal
+    and the mirrored pairs below it in each block's leading square are
+    zeroed, and only the block max is squared. Rounding is monotone, so
+    fl(a * a) >= fl(b * b) for a >= b >= 0 and the squared max is the max
+    of the squares bit for bit. Only the first block whose max exceeds
+    eps is squared whole; its row-major order is the lexicographic pair
+    order, so its first entry above eps is the first violating pair.
+    """
+    max_pairwise, first_bad, lower = 0.0, None, None
+    for i0, block in _gram_blocks(mat):
+        b = block.shape[0]
+        if lower is None:  # the first block is the tallest
+            lower = np.tri(b, dtype=bool)
+        np.copyto(block[:, :b], 0.0, where=lower[:b, :b])
+        top = float(block.max())
+        max_pairwise = max(max_pairwise, top * top)
         if first_bad is None and max_pairwise > eps:
-            first_bad = done + int(np.argmax(vals > eps))
-        done += vals.size
-    if first_bad is None:
-        return max_pairwise, None
-    # pair (i, j) is number starts[i] + j - i - 1 in lexicographic order
-    i = np.arange(mat.shape[0])
-    starts = i * (2 * mat.shape[0] - i - 1) // 2
-    row = int(np.searchsorted(starts, first_bad, side="right")) - 1
-    return max_pairwise, (row, first_bad - int(starts[row]) + row + 1)
+            np.square(block, out=block)
+            r, c = divmod(int(np.argmax(block > eps)), block.shape[1])
+            first_bad = (i0 + r, i0 + c)
+    return max_pairwise, first_bad
 
 
 def random_coding_construct(d: int, eps: float, m: int,
@@ -261,6 +270,10 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     limits.check_state_dim(d)
     limits.check_pairwise_ops(target_m, d)
     buffer = np.empty((target_m, d), dtype=np.complex128)
+    # a slice of the cross check has at most max(_GRAM_BLOCK_ENTRIES, b)
+    # moduli, and fewer than target_m * b
+    moduli = np.empty(min(max(_GRAM_BLOCK_ENTRIES, _GREEDY_BATCH),
+                          target_m * _GREEDY_BATCH))
     size = attempts = 0
     while size < target_m and attempts < max_attempts:
         b = min(_GREEDY_BATCH, target_m - size, max_attempts - attempts)
@@ -270,8 +283,12 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
         worst = np.zeros(b)
         step = max(1, _GRAM_BLOCK_ENTRIES // b)
         for lo in range(0, size, step):
-            cross = np.abs(buffer[lo:min(lo + step, size)] @ cand_conj_t) ** 2
+            cross = buffer[lo:min(lo + step, size)] @ cand_conj_t
+            cross = np.abs(cross, out=moduli[:cross.size].reshape(cross.shape))
             np.maximum(worst, cross.max(axis=0), out=worst)
+        # the max modulus squared is the max squared overlap bit for bit
+        # (see _pairwise_stats), so only the b maxima are squared
+        np.square(worst, out=worst)
         clash = np.abs(cand @ cand_conj_t) ** 2 > eps
         kept = []
         for j in np.flatnonzero(worst <= eps):

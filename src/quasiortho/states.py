@@ -268,16 +268,37 @@ def pairwise_overlap_sq(rows: np.ndarray):
     [i0, i1), computed from ``rows[i0:i1] @ rows[i0:].conj().T``. Items
     come in lexicographic (i, j) order, so their concatenation equals
     the upper triangle of the full squared-modulus Gram matrix read row
-    by row. A block holds at most max(16 M, 2**20) complex Gram entries.
+    by row. Besides its items the kernel holds one conjugate copy of the
+    rows, one complex Gram block and one float block of its moduli, each
+    block at most max(16 M, 2**20) entries.
+    """
+    for _, block in _gram_blocks(rows):
+        b, w = block.shape
+        vals = block[np.arange(w) > np.arange(b)[:, None]]
+        yield np.square(vals, out=vals)
+
+
+def _gram_blocks(rows: np.ndarray):
+    """Yield ``(i0, |rows[i0:i1] @ rows[i0:].conj().T|)`` for blocks of
+    rows [i0, i1) covering every row that has a partner.
+
+    Block (r, c) is the modulus of pair (i0 + r, i0 + c), bit-identical to
+    that entry of the dense Gram matrix. The rows are conjugated once per
+    call, and every block is written into one float buffer allocated per
+    call, so a caller may overwrite a block but must copy what it keeps
+    past the next one.
     """
     m = rows.shape[0]
     step = max(1, _GRAM_BLOCK_ENTRIES // m // _BLOCK_ROW_ALIGN) * _BLOCK_ROW_ALIGN
+    conj = rows.conj()
+    moduli = np.empty(min(step, m) * m)
     # the last row has no partner j > i
     for i0 in range(0, m - 1, step):
         i1 = min(i0 + step, m)
-        over = np.abs(rows[i0:i1] @ rows[i0:].conj().T) ** 2
-        upper = np.arange(i0, m) > np.arange(i0, i1)[:, None]
-        yield over[upper]
+        gram = rows[i0:i1] @ conj[i0:].T
+        block = np.abs(gram, out=moduli[:gram.size].reshape(gram.shape))
+        del gram  # only one complex block is alive at a time
+        yield i0, block
 
 
 def chordal_distance(psi: StateVector, phi: StateVector) -> float:

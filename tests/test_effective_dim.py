@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quasiortho.effective_dim
+from quasiortho.effective_dim import _parse_lines
 
 from quasiortho import (
     EffectiveDimensionReport,
@@ -21,6 +22,12 @@ from quasiortho import (
     suppression_experiment,
     MeasurementModel,
 )
+
+
+def filtered_parse(text):
+    """Oracle: the non-blank lines of the whole text in one array."""
+    return np.array([line for line in text.splitlines() if line.strip()],
+                    dtype=float)
 
 
 class TestSpectrum:
@@ -111,6 +118,33 @@ class TestSpectrum:
             path.write_text(text)
             with pytest.raises(ValueError):
                 Spectrum.from_file(path)
+
+    @pytest.mark.parametrize("text", ["1\n\n2\n", "1\n  \n2\r\n3",
+                                      "1\nx\n", " \n", ""])
+    def test_whole_slice_parse_matches_filtered_parse(self, text):
+        try:
+            want = filtered_parse(text)
+        except ValueError as err:
+            with pytest.raises(ValueError) as info:
+                _parse_lines(text)
+            assert str(info.value) == str(err)
+            return
+        got = _parse_lines(text)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("head, tail", [
+        ("1.5\n" * 3 + "15\n\n", "2.5\n" * 100),  # blank ends slice 1
+        ("1.5\n" * 4, "\n" + "2.5\n" * 100),        # blank starts slice 2
+    ])
+    def test_blank_line_on_a_slice_boundary(self, head, tail):
+        chars = quasiortho.effective_dim._PARSE_SLICE_CHARS
+        head = head * (chars // len(head))
+        assert len(head) == chars and head.endswith("\n")
+        text = head + tail
+        got = _parse_lines(text)
+        assert got.tobytes() == filtered_parse(text).tobytes()
+        assert got.size == text.count("5")
 
     def test_callers_array_stays_writable(self):
         e = np.array([0.0, 1.0, 2.0])

@@ -25,7 +25,7 @@ from quasiortho import (
     union_bound_failure,
     verify,
 )
-from quasiortho import limits, packing
+from quasiortho import limits, packing, states
 from quasiortho.packing import _GREEDY_BATCH, _pairwise_stats
 from quasiortho.states import _haar_rows, pairwise_overlap_sq
 
@@ -385,9 +385,12 @@ def dense_pairwise_stats(mat, eps):
 
 
 class TestPairwiseKernel:
-    # at d = 4, M = 2100 spans 5 Gram blocks of the kernel
+    # at d = 4, M = 2100 spans 5 Gram blocks of the kernel, or 132 at
+    # 2**15 entries
+    @pytest.mark.parametrize("entries", [states._GRAM_BLOCK_ENTRIES, 1 << 15])
     @pytest.mark.parametrize("m", [1, 2, 3, 2100])
-    def test_matches_dense_gram_exactly(self, m):
+    def test_matches_dense_gram_exactly(self, m, entries, monkeypatch):
+        monkeypatch.setattr(states, "_GRAM_BLOCK_ENTRIES", entries)
         mat = _haar_rows(4, m, RngStream(16))
         vals = (np.abs(mat @ mat.conj().T) ** 2)[np.triu_indices(m, k=1)]
         # at the three largest values the first violation moves late
@@ -401,6 +404,36 @@ class TestPairwiseKernel:
         max_pairwise, pair = _pairwise_stats(mat, 0.999)
         assert pair == (1500, 1700)
         assert (max_pairwise, pair) == dense_pairwise_stats(mat, 0.999)
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # 2**15 entries: 16-row blocks at M = 2100, so 132 blocks and a
+        # last one of 4 rows
+        monkeypatch.setattr(states, "_GRAM_BLOCK_ENTRIES", 1 << 15)
+
+    def test_small_blocks_concatenate_to_the_dense_triangle(self,
+                                                            small_blocks):
+        mat = _haar_rows(4, 2100, RngStream(18))
+        items = list(pairwise_overlap_sq(mat))
+        assert len(items) == 132 and items[-1].size == 4 * 3 // 2
+        dense = (np.abs(mat @ mat.conj().T) ** 2)[np.triu_indices(2100, k=1)]
+        assert np.concatenate(items).tobytes() == dense.tobytes()
+
+    def test_duplicate_in_a_later_leading_square(self, small_blocks):
+        mat = _haar_rows(4, 2100, RngStream(19))
+        # rows 1488 .. 1503 are one block: the pair sits at (12, 13) of
+        # its leading square, after the zeroed diagonal entry (12, 12)
+        mat[1501] = mat[1500]
+        max_pairwise, pair = _pairwise_stats(mat, 0.999)
+        assert pair == (1500, 1501)
+        assert (max_pairwise, pair) == dense_pairwise_stats(mat, 0.999)
+
+    def test_eps_at_the_exact_max_is_no_violation(self, small_blocks):
+        mat = _haar_rows(4, 2100, RngStream(20))
+        top, _ = dense_pairwise_stats(mat, 1.0)
+        assert _pairwise_stats(mat, top) == (top, None)
+        below = np.nextafter(top, 0.0)
+        assert _pairwise_stats(mat, below) == dense_pairwise_stats(mat, below)
 
     def test_memory_is_blocked(self):
         mat = _haar_rows(4, 4000, RngStream(17))
