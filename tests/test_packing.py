@@ -385,17 +385,24 @@ def dense_pairwise_stats(mat, eps):
 
 
 class TestPairwiseKernel:
-    # at d = 4, M = 2100 spans 5 Gram blocks of the kernel, or 132 at
-    # 2**15 entries
-    @pytest.mark.parametrize("entries", [states._GRAM_BLOCK_ENTRIES, 1 << 15])
-    @pytest.mark.parametrize("m", [1, 2, 3, 2100])
-    def test_matches_dense_gram_exactly(self, m, entries, monkeypatch):
-        monkeypatch.setattr(states, "_GRAM_BLOCK_ENTRIES", entries)
+    @staticmethod
+    def _check_against_dense(m):
         mat = _haar_rows(4, m, RngStream(16))
         vals = (np.abs(mat @ mat.conj().T) ** 2)[np.triu_indices(m, k=1)]
         # at the three largest values the first violation moves late
         for eps in [0.0, 0.5, *np.sort(vals)[-3:]]:
             assert _pairwise_stats(mat, eps) == dense_pairwise_stats(mat, eps)
+
+    # at d = 4, M = 2100 spans 5 Gram blocks of the kernel
+    @pytest.mark.parametrize("m", [1, 2, 3, 2100])
+    def test_matches_dense_gram_exactly(self, m):
+        self._check_against_dense(m)
+
+    # or 132 blocks at 2**15 entries
+    @pytest.mark.parametrize("m", [1, 2, 3, 2100])
+    def test_matches_dense_gram_exactly_in_small_blocks(self, m,
+                                                         small_blocks):
+        self._check_against_dense(m)
 
     def test_first_violation_found_past_the_first_block(self):
         mat = _haar_rows(4, 2100, RngStream(16))
