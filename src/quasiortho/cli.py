@@ -2,7 +2,7 @@
 
 Subcommands: overlap-dist, levy-check, packing (bound|build), decohere,
 deff. Every output, the --family-csv file included, embeds a provenance
-header (command, seed, parameters, and the quasiortho, numpy and scipy
+header (command, seed, parameters, and the quasiortho, Python and numpy
 versions); identical command lines reproduce byte-identical output
 apart from the timestamp, which --no-timestamp suppresses. Only this
 module writes files.
@@ -24,7 +24,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import effective_dim as ed
@@ -63,11 +62,9 @@ def _resolve_seed(args) -> int:
 def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
     # the normalized parameter set, not raw argv: output paths and
     # formatting flags must not break byte-identical reproducibility
-    # numpy fixes the PCG64 and normal-draw streams; scipy draws nothing
-    # (only wilson_interval uses it)
+    # numpy fixes the PCG64 and normal-draw streams
     prov = {"command": command, "version": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "python": platform.python_version(), "numpy": np.__version__}
     if seed is not None:
         prov["seed"] = seed
     prov.update({f"param_{k}": v for k, v in sorted(params.items())})

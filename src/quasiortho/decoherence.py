@@ -105,7 +105,7 @@ class MeasurementModel:
 
         object.__setattr__(self, "env_qubits",
                            integer("env_qubits", self.env_qubits, 1))
-        limits.check_state_dim(self.env_dim)
+        limits.check_state_qubits(self.env_qubits)
 
         if self.dynamics not in DYNAMICS:
             raise ValueError(
@@ -264,13 +264,14 @@ def _rotation_y(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-# Complex entries of records plus gates that one block of trials may hold
-# (1 MB). It fits 8 trials at n=10, k=2 and one at n=14, k=8; a 64 MB
-# block made n=14 slower. Each of the at most ``_MAX_WORKERS`` workers of
-# ``suppression_experiment`` allocates, once per call, the buffers of one
-# block: its records and their conjugates (16 B an entry) and their
-# squared moduli (8 B), plus one record of scratch. So the buffers hold at
-# most 2 x 2.5 x max(1 MB, one trial's records), plus two records.
+# Complex entries of records, gates and k x k Grams that one block of
+# trials may hold (1 MB). It fits 8 trials at n=10, k=2, one at n=14, k=8
+# and 6 at n=1, k=100; a 64 MB block made n=14 slower. Each of the at
+# most ``_MAX_WORKERS`` workers of ``suppression_experiment`` allocates,
+# once per call, the buffers of one block: its records and their
+# conjugates (16 B an entry) and their squared moduli (8 B), plus one
+# record of scratch. So the buffers hold at most 2 x 2.5 x max(1 MB, one
+# trial's records), plus two records.
 _BLOCK_ENTRIES = 1 << 16
 # Threads that run the blocks of one ``suppression_experiment`` call.
 _MAX_WORKERS = 2
@@ -284,9 +285,14 @@ def _brickwork(model: MeasurementModel) -> list:
 
 
 def _block_trials(model: MeasurementModel) -> int:
-    """Trials per block: as many as fit ``_BLOCK_ENTRIES``, at least one."""
+    """Trials per block: as many as fit ``_BLOCK_ENTRIES``, at least one.
+
+    A trial counts its k records, its gates and its k x k Gram, so that
+    ``_block_statistics``'s Gram, rho and moduli stay bounded at large k.
+    """
+    k = model.pointer_count
     gates = len(_brickwork(model)) if model.dynamics == "chaotic-circuit" else 0
-    per_trial = model.pointer_count * (model.env_dim + 16 * gates)
+    per_trial = k * (model.env_dim + 16 * gates + k)
     return max(1, _BLOCK_ENTRIES // per_trial)
 
 

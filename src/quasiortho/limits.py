@@ -23,6 +23,19 @@ def check_state_dim(dim: int) -> None:
         )
 
 
+def check_state_qubits(qubits: int) -> None:
+    """``check_state_dim(2 ** qubits)`` without forming ``2 ** qubits``.
+
+    With b the bit length of the cap, 2**qubits exceeds it exactly when
+    qubits >= b, so a huge qubit count costs no huge integer.
+    """
+    if qubits >= MAX_STATE_DIM.bit_length():
+        raise ResourceLimitError(
+            f"state dimension 2**{qubits} exceeds cap {MAX_STATE_DIM} "
+            "(raise quasiortho.limits.MAX_STATE_DIM to override)"
+        )
+
+
 def check_unitary_dim(dim: int) -> None:
     if dim > MAX_UNITARY_DIM:
         raise ResourceLimitError(

@@ -212,7 +212,8 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     """
     d = integer("d", d, 2)
     n_samples = integer("n_samples", n_samples, 1)
-    # draws are chunked, so only the output size needs capping
+    # draws are chunked, but a chunk holds at least one d-entry state
+    limits.check_state_dim(d)
     limits.check_sample_count(n_samples)
     chunk_rows = max(1, _SAMPLE_CHUNK_ENTRIES // d)
     out = np.empty(n_samples, dtype=float)
@@ -267,15 +268,86 @@ def ks_test(sample: EmpiricalSample, alpha: float = 0.01) -> TestReport:
     )
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989): the normal quantile as three rational approximations.
+# P0/Q0 cover exp(-2) < y < 1 - exp(-2); P1/Q1 and P2/Q2 are in z = 1/x
+# with x = sqrt(-2 log y) on the tail, for 2 <= x < 8 and x >= 8. Each Q
+# leads with the 1.0 that Cephes' p1evl implies: 1.0 * x is exact, so
+# Horner's rule through it gives p1evl's bits.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x: float, coef) -> float:
+    """coef[0] x^N + ... + coef[N], in Horner order (no fused multiply-add)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Standard normal quantile: x with Phi(x) = y, for y in [0, 1].
+
+    A port of Cephes ``ndtri``, the routine behind
+    ``scipy.special.ndtri``, operation for operation, so that it returns
+    the same bits.
+    """
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    negate = True
+    if y > 1.0 - _EXP_MINUS_2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:   # y > exp(-32)
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def wilson_interval(k: int, n: int, alpha: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion at level alpha."""
     n = integer("n", n, 1)
     k = integer("k", k, 0, n)
     alpha = real("alpha", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
-    # imported here: scipy.special costs about 0.3 s of start-up, and no
-    # CLI command needs it. ndtri is the normal quantile norm.ppf uses.
-    from scipy.special import ndtri
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = _ndtri(1.0 - alpha / 2.0)
     p_hat = k / n
     denom = 1.0 + z ** 2 / n
     center = (p_hat + z ** 2 / (2 * n)) / denom

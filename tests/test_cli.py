@@ -8,11 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import quasiortho.limits
 import quasiortho.states
-from quasiortho import RngStream, greedy_construct
+from quasiortho import RngStream, greedy_construct, wilson_interval
 from quasiortho.cli import main
 
 
@@ -31,6 +30,14 @@ class TestOverlapDist:
         header = [ln for ln in lines if not ln.startswith("#")][0]
         assert "empirical_density" in header and "analytic_pdf" in header
         assert any(ln.startswith("# ks_pass=true") for ln in lines)
+
+    def test_dimension_over_the_state_cap_is_resource_error(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(quasiortho.limits, "MAX_STATE_DIM", 64)
+        out = tmp_path / "out.csv"
+        assert main(["overlap-dist", "--d", "65", "--trials", "100",
+                     "--seed", "1", "--output", str(out)]) == 3
+        assert not out.exists()
 
     def test_json_format(self, capsys):
         code, out = run_cli(["overlap-dist", "--d", "64", "--trials", "500",
@@ -232,6 +239,14 @@ class TestDecohere:
                            "--seed", "1"], capsys)
         assert code == 3
 
+    def test_huge_env_is_resource_error_naming_the_cap(self, capsys):
+        # 2**20000 has 6021 digits, past int-to-str's default limit, so
+        # the cap must be checked without forming it
+        assert main(["decohere", "--n", "20000", "--k", "2",
+                     "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "2**20000" in err and "MAX_STATE_DIM" in err
+
     def test_trials_over_the_sample_cap_exit_3_before_drawing(
             self, monkeypatch, tmp_path):
         draws = []
@@ -374,14 +389,15 @@ class TestReproducibility:
         assert prov["param_trials"] == 200
         assert prov["version"]
 
-    def test_provenance_records_numpy_and_scipy_versions(self, tmp_path):
-        # they fix the PCG64 and normal-draw streams
+    def test_provenance_records_numpy_version_and_no_scipy(self, tmp_path):
+        # numpy fixes the PCG64 and normal-draw streams; scipy decides no
+        # output, so provenance does not record it
         out = tmp_path / "o.json"
         main(["levy-check", "--d", "16", "--delta", "0.5", "--format", "json",
               "--no-timestamp", "--output", str(out)])
         prov = json.loads(out.read_text())["provenance"]
         assert prov["numpy"] == np.__version__
-        assert prov["scipy"] == scipy.__version__
+        assert "scipy" not in prov
 
     def test_provenance_records_python_version(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -457,17 +473,49 @@ def run_module(*args):
 
 
 def test_import_loads_no_heavy_scipy_module():
-    # scipy.stats alone took about 1 s of every CLI run's start-up
+    # scipy.stats alone took about 1 s of every CLI run's start-up; the
+    # library needs no scipy module at all
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = ("import sys, quasiortho, quasiortho.cli; "
             "print(' '.join(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    loaded = proc.stdout.split()
     assert "quasiortho.cli" in loaded
-    for name in ("scipy.stats", "scipy.special", "scipy.linalg"):
-        assert name not in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable, the CLI and
+    # wilson_interval still work
+    spectrum = tmp_path / "levels.txt"
+    spectrum.write_text("0\n1\n1\n2\n")
+    argvs = [
+        ["overlap-dist", "--d", "16", "--trials", "200", "--seed", "9"],
+        ["levy-check", "--d", "16", "--delta", "0.5"],
+        ["packing", "bound", "--d", "100", "--eps", "0.1"],
+        ["packing", "build", "--d", "16", "--eps", "0.5", "--M", "3",
+         "--seed", "1"],
+        ["decohere", "--n", "4", "--k", "2", "--trials", "30", "--seed", "1"],
+        ["deff", "--spectrum", str(spectrum), "--energy", "1",
+         "--width", "1"],
+    ]
+    code = f"""
+import sys
+sys.modules["scipy"] = None   # every import of scipy or scipy.* now fails
+import quasiortho, quasiortho.cli
+from quasiortho.overlap import wilson_interval
+print(wilson_interval(3, 7, 0.05))
+for i, argv in enumerate({argvs!r}):
+    assert quasiortho.cli.main(argv + ["--output", f"out{{i}}.csv"]) == 0, argv
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{wilson_interval(3, 7, 0.05)}\n"
+    assert len(list(tmp_path.glob("out*.csv"))) == len(argvs)
 
 
 def test_module_entry_point_runs_from_source():

@@ -227,6 +227,23 @@ class TestMeasurementModel:
             MeasurementModel(pointer_count=2, coefficients=UNIFORM2,
                              env_qubits=20, dynamics="exact-haar")
 
+    def test_huge_env_is_refused_without_forming_its_dimension(self):
+        # 2**(10**6) has 301030 digits: formatting it would raise
+        # ValueError, not the resource error
+        with pytest.raises(ResourceLimitError, match=r"2\*\*1000000 exceeds"):
+            MeasurementModel(pointer_count=2, coefficients=UNIFORM2,
+                             env_qubits=10 ** 6, dynamics="exact-haar")
+
+    @pytest.mark.parametrize("cap", [2, 3, 10_000, 2 ** 14])
+    def test_qubit_cap_is_the_dimension_cap(self, cap, monkeypatch):
+        monkeypatch.setattr(dc.limits, "MAX_STATE_DIM", cap)
+        for n in range(1, 20):
+            if 2 ** n > cap:
+                with pytest.raises(ResourceLimitError):
+                    dc.limits.check_state_qubits(n)
+            else:
+                dc.limits.check_state_qubits(n)
+
     def test_callers_coefficients_stay_writable(self):
         coeffs = np.array([0.6, 0.8], dtype=np.complex128)
         m = MeasurementModel(pointer_count=2, coefficients=coeffs,
@@ -596,6 +613,21 @@ class TestSuppressionExperiment:
 
         outputs = (300 - 30) * 8 * (6 + 1)
         assert peak(300) <= peak(30) + outputs + 64 * 1024
+
+    def test_memory_of_many_pointers_is_blocked(self):
+        # at n=1, k=100 the records are small, but each trial's Gram, rho
+        # and their moduli hold k x k entries; blocks sized by the records
+        # alone put all 300 trials in one block (a 206 MB peak)
+        k = 100
+        m = exact_haar_model(1, k=k, coeffs=np.full(k, 0.1))
+        tracemalloc.start()
+        try:
+            result = suppression_experiment(m, 300, RngStream(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = result.pair_overlaps.nbytes + result.max_coherences.nbytes
+        assert peak <= outputs + 16 * 2 ** 20
 
     def test_output_over_the_sample_cap_is_refused(self, monkeypatch):
         # 30 trials of k=3 records hold 90 pair overlaps

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 from scipy.stats import ks_2samp, norm
 
+import quasiortho.limits
 import quasiortho.overlap
 from quasiortho import (
     EmpiricalSample,
     OverlapDistribution,
+    ResourceLimitError,
     RngStream,
     TestReport,
     basis_state,
@@ -271,6 +274,18 @@ class TestSampleOverlaps:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_state_dimension_cap_is_checked_before_drawing(self,
+                                                            monkeypatch):
+        draws = []
+        real = quasiortho.overlap.complex_gaussians
+        monkeypatch.setattr(quasiortho.overlap, "complex_gaussians",
+                            lambda *a: draws.append(a) or real(*a))
+        monkeypatch.setattr(quasiortho.limits, "MAX_STATE_DIM", 64)
+        with pytest.raises(ResourceLimitError):
+            sample_overlaps(65, 1, RngStream(0))
+        assert draws == []
+        assert sample_overlaps(64, 1, RngStream(0)).count == 1
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             sample_overlaps(1, 100, RngStream(0))
@@ -331,6 +346,23 @@ class TestWilsonInterval:
             wilson_interval(11, 10, 0.05)
         with pytest.raises(ValueError):
             wilson_interval(5, 10, 0.0)
+
+    def test_ndtri_equals_scipy_bit_for_bit(self):
+        e2 = math.exp(-2.0)
+        edges = [0.0, 1.0, 0.5, 5e-324, 1e-300, math.exp(-32.0),
+                 np.nextafter(1.0, 0.0), e2, 1.0 - e2]
+        edges += [np.nextafter(e, side) for e in (e2, 1.0 - e2)
+                  for side in (0.0, 1.0)]
+        ys = np.concatenate([
+            edges,
+            np.linspace(0.0, 1.0, 4001),
+            np.geomspace(1e-300, 0.5, 2000),        # lower tail
+            1.0 - np.geomspace(1e-16, 0.5, 2000),   # upper tail
+        ])
+        want = ndtri(ys)
+        got = np.array([quasiortho.overlap._ndtri(float(y)) for y in ys])
+        assert got[0] == -math.inf and got[1] == math.inf
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("alpha", np.geomspace(1e-12, 1 - 1e-6, 41))
     def test_equals_the_scipy_stats_formula(self, alpha):
