@@ -25,16 +25,14 @@ dynamics are provided:
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import limits
+from ._workers import _in_workers
 from .rng import RngStream
 from .states import (StateVector, _apply_gate, _check_unit_rows,
                      _check_unitary, _haar_rows, _haar_unitaries, basis_state)
@@ -267,14 +265,12 @@ def _rotation_y(theta: float) -> np.ndarray:
 # Complex entries of records, gates and k x k Grams that one block of
 # trials may hold (1 MB). It fits 8 trials at n=10, k=2, one at n=14, k=8
 # and 6 at n=1, k=100; a 64 MB block made n=14 slower. Each of the at
-# most ``_MAX_WORKERS`` workers of ``suppression_experiment`` allocates,
-# once per call, the buffers of one block: its records and their
-# conjugates (16 B an entry) and their squared moduli (8 B), plus one
-# record of scratch. So the buffers hold at most 2 x 2.5 x max(1 MB, one
-# trial's records), plus two records.
+# most ``_workers._MAX_WORKERS`` workers of ``suppression_experiment``
+# allocates, once per call, the buffers of one block: its records and
+# their conjugates (16 B an entry) and their squared moduli (8 B), plus
+# one record of scratch. So the buffers hold at most 2 x 2.5 x max(1 MB,
+# one trial's records), plus two records.
 _BLOCK_ENTRIES = 1 << 16
-# Threads that run the blocks of one ``suppression_experiment`` call.
-_MAX_WORKERS = 2
 
 
 def _brickwork(model: MeasurementModel) -> list:
@@ -560,57 +556,6 @@ def _block_statistics(c: np.ndarray, recs: np.ndarray, pairs: np.ndarray,
     np.max(mags, axis=(1, 2), out=coherences)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _in_workers(work, starts) -> None:
-    """Run ``work(claims)`` on ``min(_MAX_WORKERS, _cpu_count(),
-    len(starts))`` workers: the calling thread, plus plain threads when
-    there is more than one.
-
-    ``claims`` yields the items of ``starts``, each to exactly one worker,
-    from one shared iterator. After an error every worker stops at its
-    next claim; all are joined, then the first error is raised. Each
-    thread runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in every worker.
-    """
-    count = min(_MAX_WORKERS, _cpu_count(), len(starts))
-    pending = iter(starts)
-    lock = threading.Lock()
-    errors = []
-
-    def claims():
-        while not errors:
-            with lock:
-                item = next(pending, None)
-            if item is None:
-                return
-            yield item
-
-    def run():
-        try:
-            work(claims())
-        except BaseException as exc:   # re-raised in the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(run,)) for _ in range(count - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        run()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def suppression_experiment(model: MeasurementModel, trials: int,
                            rng: RngStream) -> SuppressionResult:
     """Regenerate branches per trial and collect overlap/coherence stats.
@@ -618,15 +563,17 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     Trial t draws from ``rng.substream(t)``, so the result does not
     depend on execution order, and the trials are partitioned across
     workers: blocks of bounded memory (``_records``) run on up to
-    ``_MAX_WORKERS`` threads, never more than the CPUs the process may
-    use. Each worker allocates its block buffers once per call and
-    writes disjoint output rows, so the output bytes do not depend on the
-    worker count. Integrable trials draw nothing, so their records and
-    statistics are formed once, serially, and copied into every trial's
-    row. Every block of records is unit-checked, and its statistics come
-    from one pass (``_block_statistics``): pair overlaps |G_ij|^2,
-    i < j, as ``typicality_ratio`` takes them, and max coherences
-    bit-identical to ``max_coherence(reduced_density(...))`` on the same
+    ``_workers._MAX_WORKERS`` threads, never more than the CPUs the
+    process may use, with numpy's BLAS held to one thread while more than
+    one runs (``_workers._in_workers``). Each worker allocates its block
+    buffers once per call and writes disjoint output rows, so the output
+    bytes do not depend on the worker count. Integrable trials draw
+    nothing, so their records and statistics are formed once, serially,
+    and copied into every trial's row. Every block of records is
+    unit-checked, and its statistics come from one pass
+    (``_block_statistics``): pair overlaps |G_ij|^2, i < j, as
+    ``typicality_ratio`` takes them, and max coherences bit-identical to
+    ``max_coherence(reduced_density(...))`` on the same
     records. The output's trials x k(k-1)/2 overlaps are capped by
     ``limits.check_sample_count`` before anything is allocated or drawn.
     """

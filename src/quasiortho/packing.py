@@ -17,6 +17,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from . import limits
+from ._workers import _in_workers
 from .overlap import TestReport
 from .rng import RngStream
 from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _check_unit_rows,
@@ -315,9 +316,16 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     """Check that random coding succeeds at least as often as the union
     bound guarantees.
 
-    Runs independent constructions on per-trial substreams. The report
-    statistic is the empirical failure fraction and the threshold is the
-    union bound plus three binomial standard errors.
+    Trial t is one construction drawn from ``rng.substream(t)``. The
+    trials run on the worker threads that ``suppression_experiment``
+    uses (``_workers._in_workers``): up to two, never more than the CPUs
+    the process may use, with numpy's BLAS held to one thread while more
+    than one runs. Each worker claims one trial at a time and counts its
+    own failures, and the counts are summed after the join, so the report
+    does not depend on the worker count and memory does not grow with
+    ``trials``. The report statistic is the empirical failure fraction
+    and the threshold is the union bound plus three binomial standard
+    errors.
     """
     trials = integer("trials", trials, 30)
     d = integer("d", d, 1)
@@ -327,12 +335,19 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     limits.check_sample_count(m * d)
     limits.check_pairwise_ops(m, d)
     ub = union_bound_failure(d, eps, m)
-    failures = 0
-    for t in range(trials):
-        mat = _haar_rows(d, m, rng.substream(t))
-        max_pairwise, _ = _pairwise_stats(mat, eps)
-        if max_pairwise > eps:
-            failures += 1
+    counts = []
+
+    def work(claims):
+        """Build and certify the claimed trials; append the failures."""
+        failed = 0
+        for t in claims:
+            mat = _haar_rows(d, m, rng.substream(t))
+            max_pairwise, _ = _pairwise_stats(mat, eps)
+            failed += max_pairwise > eps
+        counts.append(failed)
+
+    _in_workers(work, range(trials))
+    failures = sum(counts)
     p_fail = failures / trials
     se = math.sqrt(p_fail * (1.0 - p_fail) / trials)
     return TestReport(

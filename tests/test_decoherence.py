@@ -26,11 +26,13 @@ from quasiortho import (
     max_coherence,
     overlap_sq,
     reduced_density,
+    success_rate_experiment,
     suppression_experiment,
     typicality_ratio,
 )
 from quasiortho.states import (Unitary, apply_local, haar_unitary,
                                pairwise_overlap_sq)
+from quasiortho import _workers, packing
 from quasiortho import decoherence as dc
 from quasiortho.decoherence import ATYPICAL_RATIO
 from quasiortho.overlap import EmpiricalSample
@@ -662,8 +664,8 @@ class TestSuppressionExperiment:
 
 
 class TestWorkers:
-    """Blocks of trials on up to two threads: the same bytes, and errors
-    and the caller's error state reach the caller."""
+    """Trials of both experiments on up to two threads: the same bytes,
+    and errors and the caller's error state reach the caller."""
 
     MODELS = {
         "chaotic-initial": MeasurementModel(
@@ -676,108 +678,167 @@ class TestWorkers:
             pointer_count=2, coefficients=UNIFORM2, env_qubits=10,
             dynamics="chaotic-circuit", depth=6),
     }
+    # (d, eps, M) of success_rate_experiment: about 17% of trials fail,
+    # none fails, every one fails
+    RATES = {
+        "rate-mixed": (100, 0.1, 111),
+        "rate-none-fail": (2, 0.999999, 3),
+        "rate-all-fail": (2, 0.01, 3),
+    }
 
-    @staticmethod
-    def record_threads(monkeypatch):
-        """Wrap ``_records`` to collect the threads that run it; the first
-        call lingers so that a second worker takes a block meanwhile."""
-        threads, original = [], dc._records
+    @classmethod
+    def outcome(cls, name, trials, seed):
+        """The output of model or rate case ``name``, as comparable values."""
+        if name in cls.RATES:
+            report = success_rate_experiment(*cls.RATES[name], trials,
+                                             RngStream(seed))
+            return report.statistic, report.threshold, report.description
+        result = suppression_experiment(cls.MODELS[name], trials,
+                                         RngStream(seed))
+        return result.pair_overlaps.tobytes(), result.max_coherences.tobytes()
 
-        def records(*args, **kwargs):
+    @classmethod
+    def before_each_claim(cls, monkeypatch, name, hook):
+        """Call ``hook()`` ahead of the kernel that runs each claim of
+        ``name``: ``_haar_rows`` in the rate experiment, ``_records`` in
+        the decoherence engine."""
+        module, attr = ((packing, "_haar_rows") if name in cls.RATES
+                        else (dc, "_records"))
+        original = getattr(module, attr)
+
+        def kernel(*args, **kwargs):
+            hook()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, kernel)
+
+    @classmethod
+    def record_threads(cls, monkeypatch, name="exact-haar-k3"):
+        """Collect the threads that run the claims of ``name``; the first
+        claim lingers so that a second worker takes one meanwhile."""
+        threads = []
+
+        def hook():
             if not threads:
                 time.sleep(0.05)
             threads.append(threading.get_ident())
-            return original(*args, **kwargs)
 
-        monkeypatch.setattr(dc, "_records", records)
+        cls.before_each_claim(monkeypatch, name, hook)
         return threads
 
-    # block sizes that split 37 trials into several blocks, the last partial
+    # block sizes that split 37 trials into several blocks, the last
+    # partial; the rate experiment claims one trial at a time
     @pytest.mark.parametrize("name, entries", [
         ("chaotic-initial", 1 << 11),   # 4 trials per block
         ("exact-haar-k3", 1 << 11),     # 5 trials per block
         ("chaotic-n10-partial", dc._BLOCK_ENTRIES),
+        pytest.param("rate-mixed", None, id="rate-mixed"),
+        pytest.param("rate-none-fail", None, id="rate-none-fail"),
+        pytest.param("rate-all-fail", None, id="rate-all-fail"),
     ])
     def test_worker_count_changes_no_byte(self, name, entries, monkeypatch):
-        model = self.MODELS[name]
-        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", entries)
-        results, threads = {}, self.record_threads(monkeypatch)
+        if entries is not None:
+            monkeypatch.setattr(dc, "_BLOCK_ENTRIES", entries)
+        results, threads = {}, self.record_threads(monkeypatch, name)
         for cpus in (1, 2):
-            monkeypatch.setattr(dc, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
             threads.clear()
-            results[cpus] = suppression_experiment(model, 37, RngStream(23))
+            results[cpus] = self.outcome(name, 37, 23)
             assert len(set(threads)) == cpus
-        assert (results[1].pair_overlaps.tobytes()
-                == results[2].pair_overlaps.tobytes())
-        assert (results[1].max_coherences.tobytes()
-                == results[2].max_coherences.tobytes())
+        assert results[1] == results[2]
 
-    def test_many_workers_at_a_short_switch_interval(self, monkeypatch):
+    def test_the_rate_cases_have_the_outcomes_they_name(self):
+        assert 0.0 < self.outcome("rate-mixed", 37, 23)[0] < 1.0
+        assert self.outcome("rate-none-fail", 37, 23)[0] == 0.0
+        assert self.outcome("rate-all-fail", 37, 23)[0] == 1.0
+
+    def many_workers_change_no_output(self, name, monkeypatch):
         # more workers than cores, switching threads every microsecond: a
-        # block claimed twice or never would change the bytes
-        model = self.MODELS["exact-haar-k3"]
+        # trial claimed twice or never, or a failure count lost, would
+        # change the output
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
-        monkeypatch.setattr(dc, "_cpu_count", lambda: 1)
-        serial = suppression_experiment(model, 200, RngStream(29))
-        monkeypatch.setattr(dc, "_MAX_WORKERS", 6)
-        monkeypatch.setattr(dc, "_cpu_count", lambda: 6)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
+        serial = self.outcome(name, 200, 29)
+        monkeypatch.setattr(_workers, "_MAX_WORKERS", 6)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = suppression_experiment(model, 200, RngStream(29))
+            threaded = self.outcome(name, 200, 29)
         finally:
             sys.setswitchinterval(interval)
-        assert threaded.pair_overlaps.tobytes() == serial.pair_overlaps.tobytes()
-        assert (threaded.max_coherences.tobytes()
-                == serial.max_coherences.tobytes())
+        assert threaded == serial
+
+    def test_many_workers_at_a_short_switch_interval(self, monkeypatch):
+        self.many_workers_change_no_output("exact-haar-k3", monkeypatch)
+
+    @pytest.mark.parametrize("name", ["rate-mixed", "rate-none-fail",
+                                      "rate-all-fail"])
+    def test_many_rate_workers_at_a_short_switch_interval(self, name,
+                                                          monkeypatch):
+        self.many_workers_change_no_output(name, monkeypatch)
 
     def test_one_block_runs_in_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(dc, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1 << 40)
         threads = self.record_threads(monkeypatch)
         suppression_experiment(exact_haar_model(4), 37, RngStream(23))
         assert threads == [threading.get_ident()]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_an_error_in_a_block_reaches_the_caller(self, cpus, monkeypatch):
-        monkeypatch.setattr(dc, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
-        calls, original = [], dc._records
+    @staticmethod
+    def run_40_trials(rate, n=4):
+        """40 trials, one per claim, of the rate experiment or of an
+        exact-haar decohere run on n qubits."""
+        if rate:
+            success_rate_experiment(16, 0.5, 8, 40, RngStream(2))
+        else:
+            suppression_experiment(exact_haar_model(n), 40, RngStream(2))
 
-        def records(model, streams, *args, **kwargs):
+    @pytest.mark.parametrize("cpus, rate", [(1, False), (2, False),
+                                            (1, True), (2, True)],
+                             ids=["1", "2", "rate-1", "rate-2"])
+    def test_an_error_in_a_block_reaches_the_caller(self, cpus, rate,
+                                                    monkeypatch):
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
+        calls = []
+
+        def hook():
             calls.append(None)
             if len(calls) == 3:
                 raise ValueError("block failed")
-            return original(model, streams, *args, **kwargs)
 
-        monkeypatch.setattr(dc, "_records", records)
+        self.before_each_claim(monkeypatch,
+                               "rate-mixed" if rate else "exact-haar-k3", hook)
         before = threading.active_count()
         with pytest.raises(ValueError, match="block failed"):
-            suppression_experiment(exact_haar_model(4), 40, RngStream(2))
+            self.run_40_trials(rate)
         assert threading.active_count() == before
         # every worker stops after the block it is running
         assert len(calls) <= 3 + (cpus - 1) * 2
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_the_callers_error_state_holds_in_every_worker(self, cpus,
+    @pytest.mark.parametrize("cpus, rate", [(1, False), (2, False),
+                                            (1, True), (2, True)],
+                             ids=["1", "2", "rate-1", "rate-2"])
+    def test_the_callers_error_state_holds_in_every_worker(self, cpus, rate,
                                                            monkeypatch):
-        monkeypatch.setattr(dc, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
-        original, main = dc._records, threading.main_thread()
+        main = threading.main_thread()
 
-        def records(*args, **kwargs):
+        def hook():
             # with two workers only the started thread divides, while the
             # calling thread lingers in its first block
             if cpus == 1 or threading.current_thread() is not main:
                 np.divide(1.0, np.zeros(1))
             else:
                 time.sleep(0.05)
-            return original(*args, **kwargs)
 
-        monkeypatch.setattr(dc, "_records", records)
+        self.before_each_claim(monkeypatch,
+                               "rate-mixed" if rate else "exact-haar-k3", hook)
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
-                suppression_experiment(exact_haar_model(8), 40, RngStream(2))
+                self.run_40_trials(rate, n=8)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["chaotic-initial", "exact-haar-k3"])
