@@ -264,12 +264,11 @@ def _rotation_y(theta: float) -> np.ndarray:
 
 # Complex entries of records, gates and k x k Grams that one block of
 # trials may hold (1 MB). It fits 8 trials at n=10, k=2, one at n=14, k=8
-# and 6 at n=1, k=100; a 64 MB block made n=14 slower. Each of the at
-# most ``_workers._MAX_WORKERS`` workers of ``suppression_experiment``
-# allocates, once per call, the buffers of one block: its records and
-# their conjugates (16 B an entry) and their squared moduli (8 B), plus
-# one record of scratch. So the buffers hold at most 2 x 2.5 x max(1 MB,
-# one trial's records), plus two records.
+# and 6 at n=1, k=100; a 64 MB block made n=14 slower. A live block of
+# ``suppression_experiment`` holds at most, per record entry, the record
+# and its conjugate (16 B each) and its squared modulus (8 B), plus one
+# record temporary: 2.5 x max(1 MB, one trial's records) plus a record,
+# on each of at most ``_workers._MAX_WORKERS`` workers.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -292,17 +291,11 @@ def _block_trials(model: MeasurementModel) -> int:
     return max(1, _BLOCK_ENTRIES // per_trial)
 
 
-def _records(model: MeasurementModel, streams, out=None,
-             scratch=None) -> np.ndarray:
-    """``(len(streams), k, 2**n)`` records of a block of trials: the one
-    record kernel. Trial b's pointer value i draws from
+def _records(model: MeasurementModel, streams) -> np.ndarray:
+    """``(len(streams), k, 2**n)`` records of a block of trials, in a new
+    array: the one record kernel. Trial b's pointer value i draws from
     ``streams[b].substream(i)``. The records are not unit-checked here;
     callers check them.
-
-    ``out``, if given, is a C-contiguous complex128 array of that shape
-    that receives the records and is returned; ``scratch``, if given, is
-    a ``(1, 2**n)`` one that exact-haar norms are formed in. Neither
-    changes a bit of the records.
 
     * exact-haar: each record is one ``_haar_rows(d, 1, ...)`` draw,
       equal in law to an independent Haar unitary applied to the initial
@@ -321,13 +314,11 @@ def _records(model: MeasurementModel, streams, out=None,
     ``_apply_gate`` loop over the sites from ``model.initial_state()``.
     """
     n, k, d = model.env_qubits, model.pointer_count, model.env_dim
-    if out is None:
-        out = np.empty((len(streams), k, d), dtype=np.complex128)
     if model.dynamics == "exact-haar":
+        out = np.empty((len(streams), k, d), dtype=np.complex128)
         for b, stream in enumerate(streams):
             for i in range(k):
-                _haar_rows(d, 1, stream.substream(i), out=out[b, i:i + 1],
-                           scratch=scratch)
+                out[b, i] = _haar_rows(d, 1, stream.substream(i))[0]
         return out
     if model.dynamics == "integrable-product":
         sites = [(q,) for q in range(n)]
@@ -345,8 +336,7 @@ def _records(model: MeasurementModel, streams, out=None,
     amps = np.repeat(model.initial_state().amplitudes[None], len(gates), axis=0)
     for j, targets in enumerate(sites):
         amps = _apply_gate(gates[:, j], targets, amps)
-    out[...] = amps.reshape(out.shape)
-    return out
+    return amps.reshape(len(streams), k, d)
 
 
 def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
@@ -530,11 +520,10 @@ class SuppressionResult:
 
 
 def _block_statistics(c: np.ndarray, recs: np.ndarray, pairs: np.ndarray,
-                      coherences: np.ndarray, conj=None) -> None:
+                      coherences: np.ndarray) -> None:
     """Pair overlaps and max coherences of a ``(B, k, d)`` block of
     unit-checked records, written to output rows ``pairs`` ``(B, k(k-1)/2)``
-    and ``coherences`` ``(B,)``; ``conj``, if given, is a complex128
-    buffer of the block's shape for the conjugate records.
+    and ``coherences`` ``(B,)``.
 
     One stacked product forms every trial's Gram matrix, bit-identical
     to ``gram_matrix`` on that trial's records. From it come the pair
@@ -546,7 +535,7 @@ def _block_statistics(c: np.ndarray, recs: np.ndarray, pairs: np.ndarray,
     taken.
     """
     k = recs.shape[1]
-    gram = np.conjugate(recs, out=conj) @ recs.swapaxes(-1, -2)
+    gram = np.conjugate(recs) @ recs.swapaxes(-1, -2)
     upper = np.triu_indices(k, 1)
     np.square(np.abs(gram[:, upper[0], upper[1]]), out=pairs)
     rho = np.outer(c, c.conj()) * gram.swapaxes(-1, -2)
@@ -565,20 +554,20 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     workers: blocks of bounded memory (``_records``) run on up to
     ``_workers._MAX_WORKERS`` threads, never more than the CPUs the
     process may use, with numpy's BLAS held to one thread while more than
-    one runs (``_workers._in_workers``). Each worker allocates its block
-    buffers once per call and writes disjoint output rows, so the output
-    bytes do not depend on the worker count. Integrable trials draw
-    nothing, so their records and statistics are formed once, serially,
-    and copied into every trial's row. Every block of records is
-    unit-checked, and its statistics come from one pass
+    one runs (``_workers._in_workers``). A block's arrays are numpy
+    temporaries that die with the block, and each worker writes disjoint
+    output rows, so the output bytes do not depend on the worker count.
+    Integrable trials draw nothing, so their records and statistics are
+    formed once, serially, and copied into every trial's row. Every block
+    of records is unit-checked, and its statistics come from one pass
     (``_block_statistics``): pair overlaps |G_ij|^2, i < j, as
     ``typicality_ratio`` takes them, and max coherences bit-identical to
-    ``max_coherence(reduced_density(...))`` on the same
-    records. The output's trials x k(k-1)/2 overlaps are capped by
+    ``max_coherence(reduced_density(...))`` on the same records. The
+    output's trials x k(k-1)/2 overlaps are capped by
     ``limits.check_sample_count`` before anything is allocated or drawn.
     """
     trials = integer("trials", trials, 30)
-    k, d = model.pointer_count, model.env_dim
+    k = model.pointer_count
     pairs = k * (k - 1) // 2
     limits.check_sample_count(trials * pairs)
     pair_overlaps = np.empty((trials, pairs), dtype=float)
@@ -595,18 +584,13 @@ def suppression_experiment(model: MeasurementModel, trials: int,
         step = min(_block_trials(model), trials)
 
         def work(claims):
-            """Draw, check and reduce the claimed blocks in own buffers."""
-            recs = np.empty((step, k, d), dtype=np.complex128)
-            conj = np.empty_like(recs)
-            squares = np.empty(recs.shape)
-            row = np.empty((1, d), dtype=np.complex128)
+            """Draw, check and reduce the claimed blocks."""
             for t0 in claims:
                 t1 = min(t0 + step, trials)
-                block = _records(model, [rng.substream(t) for t in range(t0, t1)],
-                                 out=recs[:t1 - t0], scratch=row)
-                _check_unit_rows(block, squares[:t1 - t0])
+                block = _records(model, [rng.substream(t) for t in range(t0, t1)])
+                _check_unit_rows(block)
                 _block_statistics(c, block, pair_overlaps[t0:t1],
-                                  max_coherences[t0:t1], conj[:t1 - t0])
+                                  max_coherences[t0:t1])
 
         _in_workers(work, range(0, trials, step))
     return SuppressionResult(

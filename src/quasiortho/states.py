@@ -117,14 +117,12 @@ class Unitary:
         return self.entries.shape[0]
 
 
-def _check_unit_rows(rows: np.ndarray, scratch=None) -> None:
+def _check_unit_rows(rows: np.ndarray) -> None:
     """Raise ValueError unless every row of a ``(..., d)`` stack has
     squared norm 1 within ``NORM_ATOL``; NaN, inf and amplitudes whose
-    square overflows (near 1e200) raise it too, not a RuntimeWarning.
-    ``scratch``, if given, is a float64 array of the stack's shape that
-    holds the squared moduli."""
+    square overflows (near 1e200) raise it too, not a RuntimeWarning."""
     with np.errstate(over="ignore"):
-        sq = np.abs(rows, out=scratch)
+        sq = np.abs(rows)
         np.square(sq, out=sq)
         defect = abs(sq.sum(-1) - 1.0).max()
     if not defect <= NORM_ATOL:
@@ -156,13 +154,12 @@ def _check_unitary(mats: np.ndarray) -> None:
                 f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
 
 
-def complex_gaussians(rng: RngStream, shape, *, out=None) -> np.ndarray:
+def complex_gaussians(rng: RngStream, shape) -> np.ndarray:
     """Standard complex Gaussians: Re and Im each N(0, 1/2), so E|g|^2 = 1.
 
     Draw layout is row-major over ``shape + (2,)`` real normals, which
-    makes chunked draws bit-identical to a single large draw. ``out``, if
-    given, is a C-contiguous complex128 array of ``shape`` that receives
-    the draw and is returned; it changes no bit of the draw.
+    makes chunked draws bit-identical to a single large draw. The result
+    is a new C-contiguous complex128 array of ``shape``.
 
     The scale is a real multiply of the normals by ``1 / sqrt(2)``, which
     has the bits of the complex division ``g / sqrt(2)``: numpy divides
@@ -172,20 +169,15 @@ def complex_gaussians(rng: RngStream, shape, *, out=None) -> np.ndarray:
     normal draw never yields.
     """
     dims = tuple(integer("shape entry", n, 0) for n in np.atleast_1d(shape))
-    if out is None:
-        out = np.empty(dims, dtype=np.complex128)
-    elif (out.shape != dims or out.dtype != np.complex128
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous complex128 array of "
-                         f"shape {dims}")
+    g = np.empty(dims, dtype=np.complex128)
     # the (re, im) pairs of complex128 are the row-major layout of the
     # normals, so the draw fills the flat float view directly; numpy's
     # complex division runs Smith's algorithm, about 7x slower than this
     # multiply
-    parts = out.reshape(-1).view(np.float64)
+    parts = g.reshape(-1).view(np.float64)
     rng.generator.standard_normal(out=parts)
     parts *= 1.0 / np.sqrt(2.0)
-    return out
+    return g
 
 
 def basis_state(d: int, index: int = 0) -> StateVector:
@@ -216,25 +208,21 @@ def haar_state(d: int, rng: RngStream) -> StateVector:
     return StateVector(_haar_rows(d, 1, rng)[0])
 
 
-def _haar_rows(d: int, m: int, rng: RngStream, out=None,
-               scratch=None) -> np.ndarray:
+def _haar_rows(d: int, m: int, rng: RngStream) -> np.ndarray:
     """``(m, d)`` Haar-random unit rows from one Gaussian draw, not
     validated; row i is bit-identical to the i-th of m sequential
     ``haar_state(d, rng)`` calls on the same stream.
 
-    ``out``, if given, is a C-contiguous complex128 ``(m, d)`` array that
-    receives the rows and is returned. ``scratch``, if given, is another
-    that the norms are formed in. Neither changes a bit of the rows.
-
     The norms are the arithmetic of ``np.linalg.norm(g, axis=1,
-    keepdims=True)`` with its complex temporaries in ``scratch`` (the
-    1-D ``norm`` of one row takes a dot-product path with other bits).
-    Each row is scaled in place by a real multiply of its float view by
-    ``1 / norm``, which has the bits of ``g / norm`` for the reason given
-    in :func:`complex_gaussians` (they differ only at -0.0 and
-    non-finite entries)."""
-    g = complex_gaussians(rng, (m, d), out=out)
-    sq = np.conjugate(g, out=scratch)
+    keepdims=True)``, with its complex product formed in place in one
+    temporary (the 1-D ``norm`` of one row takes a dot-product path with
+    other bits). Each row is scaled in place by a real multiply of its
+    float view by ``1 / norm``, which has the bits of ``g / norm`` for
+    the reason given in :func:`complex_gaussians` (they differ only at
+    -0.0 and non-finite entries)."""
+    g = complex_gaussians(rng, (m, d))
+    # conj(g) * g would allocate a second temporary
+    sq = np.conjugate(g)
     np.multiply(sq, g, out=sq)
     norms = np.sqrt(np.add.reduce(sq.real, axis=-1, keepdims=True))
     parts = g.view(np.float64)

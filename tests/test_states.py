@@ -323,24 +323,6 @@ class TestComplexGaussians:
         assert g.flags.c_contiguous
         assert g.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("shape", [(3, 5), (7,), (2, 4, 4), (3, 0)])
-    def test_out_receives_the_same_draw(self, shape):
-        out = np.full(shape, np.nan, dtype=np.complex128)
-        rng, ref_rng = RngStream(7), RngStream(7)
-        g = complex_gaussians(rng, shape, out=out)
-        assert g is out
-        assert out.tobytes() == complex_gaussians(ref_rng, shape).tobytes()
-        assert rng.generator.standard_normal() == ref_rng.generator.standard_normal()
-
-    @pytest.mark.parametrize("out", [
-        np.empty((3, 4), dtype=np.complex128),        # wrong shape
-        np.empty((4, 3), dtype=np.complex64),         # wrong dtype
-        np.empty((3, 8), dtype=np.complex128)[:, ::2],  # not contiguous
-    ], ids=["shape", "dtype", "strided"])
-    def test_unusable_out_is_a_value_error(self, out):
-        with pytest.raises(ValueError, match="out must be"):
-            complex_gaussians(RngStream(7), (4, 3), out=out)
-
 
 class TestHaarRows:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 64, 1024])
@@ -362,19 +344,6 @@ class TestHaarRows:
         ref = g / np.linalg.norm(g, axis=1, keepdims=True)
         assert rows.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("d", [1, 2, 3, 64, 1024, 2 ** 14])
-    def test_out_and_scratch_change_no_bit(self, d, m):
-        rng, ref_rng = RngStream(16, d), RngStream(16, d)
-        out = np.full((m, d), np.nan, dtype=np.complex128)
-        scratch = np.full((m, d), np.inf, dtype=np.complex128)
-        rows = _haar_rows(d, m, rng, out=out, scratch=scratch)
-        assert rows is out
-        assert rows.tobytes() == _haar_rows(d, m, ref_rng).tobytes()
-        # the streams stand at the same place afterwards
-        assert (rng.generator.standard_normal(3).tobytes()
-                == ref_rng.generator.standard_normal(3).tobytes())
-
 
 class TestUnitRowCheck:
     def stack(self):
@@ -383,7 +352,6 @@ class TestUnitRowCheck:
     def test_unit_rows_pass(self):
         _check_unit_rows(self.stack())
         _check_unit_rows(self.stack().reshape(2, 3, 8))
-        _check_unit_rows(self.stack(), np.empty((6, 8)))
 
     @pytest.mark.parametrize("bad", [
         np.sqrt(1.0 + 10 * NORM_ATOL) * np.eye(8)[0],   # just outside
@@ -398,8 +366,6 @@ class TestUnitRowCheck:
         rows[3] = bad
         with pytest.raises(ValueError, match="not normalized"):
             _check_unit_rows(rows)
-        with pytest.raises(ValueError, match="not normalized"):
-            _check_unit_rows(rows, np.empty(rows.shape))
         with pytest.raises(ValueError, match="not normalized"):
             QuasiOrthogonalFamily(dim=8, eps=0.5, rows=rows)
 
