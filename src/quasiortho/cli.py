@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import math
 import platform
@@ -262,7 +263,11 @@ def cmd_packing_build(args) -> int:
     return EXIT_PASS if report.success else EXIT_STAT_FAIL
 
 
-def _build_model(args) -> dc.MeasurementModel:
+def _build_model(args) -> tuple[dc.MeasurementModel, dict]:
+    """The model of a decohere command line, and the provenance keys of
+    its model inputs beyond n, k, dynamics, depth and theta: the pointer
+    amplitudes of ``--coeffs``, or the SHA-256 of the ``--config`` file's
+    bytes, which covers every key the file sets."""
     if args.config:
         flags = {"--n": args.n, "--k": args.k, "--dynamics": args.dynamics,
                  "--theta": args.theta, "--depth": args.depth,
@@ -271,7 +276,10 @@ def _build_model(args) -> dc.MeasurementModel:
         if given:
             raise ValueError(f"--config sets the whole model; it takes no "
                              f"{', '.join(given)}")
-        return dc.MeasurementModel.from_config(args.config)
+        with open(args.config, "rb") as fh:
+            data = fh.read()
+        model = dc.MeasurementModel.from_config(json.loads(data.decode("utf-8")))
+        return model, {"config_sha256": hashlib.sha256(data).hexdigest()}
     dynamics = {None: "exact-haar", "integrable": "integrable-product"}.get(
         args.dynamics, args.dynamics)
     k = args.k
@@ -284,7 +292,7 @@ def _build_model(args) -> dc.MeasurementModel:
         # uniform amplitudes; for k < 1 the vector is empty and the model
         # reports the pointer count
         coeffs = np.ones(max(k, 0), dtype=complex) / math.sqrt(max(k, 1))
-    return dc.MeasurementModel(
+    model = dc.MeasurementModel(
         pointer_count=k,
         coefficients=coeffs,
         env_qubits=args.n,
@@ -292,12 +300,13 @@ def _build_model(args) -> dc.MeasurementModel:
         depth=args.depth,
         thetas=args.theta,
     )
+    return model, ({"coeffs": list(args.coeffs)} if args.coeffs else {})
 
 
 def cmd_decohere(args) -> int:
     if not args.config and args.n is None:
         raise ValueError("give --n (environment qubits) or --config")
-    model = _build_model(args)
+    model, model_inputs = _build_model(args)
     seed = _resolve_seed(args)
     result = dc.suppression_experiment(model, args.trials, RngStream(seed))
 
@@ -314,6 +323,7 @@ def cmd_decohere(args) -> int:
         "n": model.env_qubits, "k": k, "dynamics": model.dynamics,
         "depth": model.depth, "trials": args.trials,
         "theta": None if model.thetas is None else list(model.thetas),
+        **model_inputs,
     })
     _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS

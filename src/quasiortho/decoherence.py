@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,7 +146,7 @@ class MeasurementModel:
 
     @classmethod
     def from_config(cls, source) -> "MeasurementModel":
-        """Build a model from a JSON config file path or a plain dict.
+        """Build a model from a JSON config file path or a parsed config.
 
         Required keys are ``pointer_count``, ``coefficients``,
         ``env_qubits`` and ``dynamics``; optional ones are ``depth``,
@@ -155,11 +156,11 @@ class MeasurementModel:
         has any other key or gives a list field as anything but a list
         raises ValueError naming the key.
         """
-        if isinstance(source, dict):
-            cfg = source
-        else:
+        if isinstance(source, (str, bytes, os.PathLike)):
             with open(source, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
+        else:
+            cfg = source
         if not isinstance(cfg, dict):
             raise ValueError(f"config must be a JSON object, got "
                              f"{type(cfg).__name__}")

@@ -32,6 +32,9 @@ __all__ = [
 # list of line strings, about 50 bytes each, stays near 4 MB instead of
 # growing with the file.
 _PARSE_SLICE_CHARS = 1 << 18
+# JSON names of the non-number values ``json.loads`` returns.
+_JSON_TYPES = {bool: "boolean", str: "string", list: "array", dict: "object",
+               type(None): "null"}
 
 
 @dataclass(frozen=True)
@@ -62,19 +65,37 @@ class Spectrum:
 
     @classmethod
     def from_file(cls, path) -> "Spectrum":
-        """Read one float per line, or a single JSON array.
+        """Read one float per line, or a single JSON array of numbers.
 
         Blank lines are skipped; every other line must parse as Python's
-        ``float()`` parses it, or ``ValueError`` is raised.
+        ``float()`` parses it, or ``ValueError`` is raised. A JSON array
+        may hold only numbers (not booleans), or ``ValueError`` names the
+        first other item; an integer too large for a float reads as inf,
+        as it does in the line format, and fails the finiteness check.
         """
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         stripped = text.lstrip()
         if stripped.startswith("["):
-            values = json.loads(text)
+            values = _json_energies(json.loads(text))
         else:
             values = _parse_lines(text)
-        return cls(np.asarray(values, dtype=float))
+        return cls(values)
+
+
+def _json_energies(values: list) -> np.ndarray:
+    """The items of a parsed JSON array as floats; ValueError names the
+    first item that is not a JSON number."""
+    energies = np.empty(len(values))
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"spectrum item {i} is a JSON "
+                             f"{_JSON_TYPES[type(v)]}, not a number")
+        try:
+            energies[i] = float(v)
+        except OverflowError:  # an int beyond the float range
+            energies[i] = math.inf if v > 0 else -math.inf
+    return energies
 
 
 def _parse_lines(text: str) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -276,6 +277,49 @@ class TestDecohere:
         assert code == 0
         assert json.loads(out)["summary"]["env_qubits"] == 4
 
+    @staticmethod
+    def provenance(argv, capsys):
+        code, out = run_cli(["decohere", "--trials", "30", "--seed", "1",
+                             "--format", "json", "--no-timestamp"] + argv,
+                            capsys)
+        assert code == 0
+        return json.loads(out)["provenance"]
+
+    def test_coeffs_are_recorded(self, capsys):
+        # the amplitudes change the coherences, so they must change the
+        # provenance too
+        base = ["--n", "4", "--k", "2"]
+        uniform = self.provenance(base, capsys)
+        given = self.provenance(base + ["--coeffs", "0.6", "0.8"], capsys)
+        assert given["param_coeffs"] == [0.6, 0.8]
+        assert self.provenance(base + ["--coeffs", "0.8", "0.6"],
+                               capsys)["param_coeffs"] == [0.8, 0.6]
+        assert {k: v for k, v in given.items() if k != "param_coeffs"} \
+            == uniform
+
+    def test_runs_without_model_inputs_keep_their_keys(self, capsys):
+        prov = self.provenance(["--n", "4", "--k", "2"], capsys)
+        assert sorted(prov) == [
+            "command", "numpy", "param_depth", "param_dynamics", "param_k",
+            "param_n", "param_theta", "param_trials", "python", "seed",
+            "version"]
+
+    def test_config_bytes_are_recorded(self, capsys, tmp_path):
+        # env_initial is not among the other param_* keys; the hash of
+        # the file's bytes covers it
+        model = {"pointer_count": 2, "coefficients": [0.8, 0.6],
+                 "env_qubits": 2, "dynamics": "chaotic-circuit"}
+        hashes = []
+        for name, initial in [("e0", [1, 0, 0, 0]), ("e1", [0, 1, 0, 0])]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(dict(model, env_initial=initial)))
+            prov = self.provenance(["--config", str(cfg)], capsys)
+            assert prov["param_config_sha256"] == \
+                hashlib.sha256(cfg.read_bytes()).hexdigest()
+            assert "param_coeffs" not in prov
+            hashes.append(prov.pop("param_config_sha256"))
+        assert hashes[0] != hashes[1]
+
 
     @pytest.mark.parametrize("config, key", [
         ({"coefficients": [0.8, 0.6], "env_qubits": 4,
@@ -346,6 +390,21 @@ class TestDeff:
         code, _ = run_cli(["deff", "--spectrum", str(spec), "--energy", "0",
                            "--width", "1"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("text", [
+        "[false, true, true]", '["1", "2.5"]', '[{"a": 1}]',
+        "[" + "9" * 400 + "]",
+    ], ids=["bools", "strings", "object", "big-int"])
+    def test_json_spectrum_of_non_numbers_is_exit_3(self, text, capsys,
+                                                    tmp_path):
+        # exit 1 means a failed statistical test, so a bad item must not
+        # reach it through an uncaught TypeError or OverflowError
+        spec = tmp_path / "levels.json"
+        spec.write_text(text)
+        code, out = run_cli(["deff", "--spectrum", str(spec), "--energy", "0",
+                             "--width", "3"], capsys)
+        assert code == 3
+        assert out == ""
 
     def test_missing_file_is_exit_3(self, capsys, tmp_path):
         code, _ = run_cli(["deff", "--spectrum", str(tmp_path / "nope.txt"),

@@ -51,6 +51,40 @@ class TestSpectrum:
         s = Spectrum.from_file(path)
         assert s.size == 4
 
+    def test_from_file_json_ints_and_floats(self, tmp_path):
+        path = tmp_path / "levels.json"
+        path.write_text("[-2, 0, 1.5, 3, 9007199254740993]")
+        got = Spectrum.from_file(path).energies
+        assert got.tobytes() == np.array(
+            [-2.0, 0.0, 1.5, 3.0, float(9007199254740993)]).tobytes()
+
+    @pytest.mark.parametrize("text, index, kind", [
+        ("[false, true, true]", 0, "boolean"),
+        ("[0, 1, true]", 2, "boolean"),
+        ('["1", "2.5"]', 0, "string"),
+        ('[{"a": 1}]', 0, "object"),
+        ("[1, [2]]", 1, "array"),
+        ("[0, null]", 1, "null"),
+    ], ids=["bools", "late-bool", "strings", "object", "nested", "null"])
+    def test_from_file_json_non_number_names_its_index(self, text, index,
+                                                        kind, tmp_path):
+        path = tmp_path / "levels.json"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"item {index} is a JSON {kind}, not a number"):
+            Spectrum.from_file(path)
+
+    @pytest.mark.parametrize("big", ["9" * 400, "-" + "9" * 400])
+    def test_from_file_json_int_beyond_float_is_not_finite(self, big,
+                                                           tmp_path):
+        # read as +-inf, as the line format reads it, not an OverflowError
+        lines, array = tmp_path / "levels.txt", tmp_path / "levels.json"
+        lines.write_text(big + "\n")
+        array.write_text(f"[{big}]")
+        for path in (lines, array):
+            with pytest.raises(ValueError, match="finite"):
+                Spectrum.from_file(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
