@@ -317,7 +317,7 @@ class TestDecohere:
             assert prov["param_config_sha256"] == \
                 hashlib.sha256(cfg.read_bytes()).hexdigest()
             assert "param_coeffs" not in prov
-            hashes.append(prov.pop("param_config_sha256"))
+            hashes.append(prov["param_config_sha256"])
         assert hashes[0] != hashes[1]
 
 
