@@ -329,9 +329,20 @@ def cmd_decohere(args) -> int:
     return EXIT_PASS
 
 
+def _file_sha256(path) -> str:
+    """SHA-256 of a file's bytes, read in 1 MB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def cmd_deff(args) -> int:
     try:
         spectrum = ed.Spectrum.from_file(args.spectrum)
+        # the spectrum's content, not its path, determines the output
+        spectrum_sha256 = _file_sha256(args.spectrum)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot read spectrum: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -353,7 +364,8 @@ def cmd_deff(args) -> int:
         rows = [[args.energy, args.width, d_eff, info["entropy"],
                  info["overlap_sq_scale"], info["amplitude_scale"]]]
     prov = _provenance(args, "deff", None, {
-        "spectrum": args.spectrum, "energy": args.energy, "width": args.width,
+        "spectrum_sha256": spectrum_sha256, "energy": args.energy,
+        "width": args.width,
     })
     _write(args.output, args.format, prov, summary, columns, rows)
     return EXIT_PASS

@@ -36,8 +36,9 @@ from . import limits
 from ._workers import _in_workers
 from .rng import RngStream
 from .states import (StateVector, _apply_gate, _check_unit_rows,
-                     _check_unitary, _haar_rows, _haar_unitaries, basis_state)
-from .validate import integer, real
+                     _check_unitary, _haar_rows, _haar_unitaries, _unit_rows,
+                     basis_state)
+from .validate import frozen_array, integer, real
 
 __all__ = [
     "DYNAMICS",
@@ -74,9 +75,7 @@ class MeasurementModel:
 
     The system side never needs its own Hilbert space: the reduced
     matrix depends only on the coefficients and the record Gram matrix.
-    ``coefficients`` becomes a read-only view of a contiguous complex128
-    input, which is not copied: the caller's array stays writable, and
-    writing to it later changes the model unchecked.
+    ``coefficients`` is stored by ``frozen_array``.
     """
 
     pointer_count: int
@@ -90,16 +89,18 @@ class MeasurementModel:
     def __post_init__(self):
         k = integer("pointer_count", self.pointer_count, 2)
         object.__setattr__(self, "pointer_count", k)
-        coeffs = np.ascontiguousarray(self.coefficients,
-                                      dtype=np.complex128).view()
+        coeffs = frozen_array("coefficients", self.coefficients,
+                              np.complex128, 1)
         if coeffs.shape != (k,):
             raise ValueError(f"need {k} coefficients, got shape {coeffs.shape}")
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+        # a square that overflows (near 1e200) must reach the ValueError
+        # below as inf, not raise a RuntimeWarning
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(np.abs(coeffs) ** 2))
         if not abs(norm_sq - 1.0) <= COEFF_NORM_ATOL:
             raise ValueError(
                 f"coefficients not normalized: sum |c|^2 = {norm_sq!r}"
             )
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
         object.__setattr__(self, "env_qubits",
@@ -194,20 +195,21 @@ def _config_list(cfg: dict, key: str) -> list:
 
 
 def _config_complex(cfg: dict, key: str) -> np.ndarray:
-    """Config list ``key`` of reals or [re, im] pairs as a complex array."""
-    values = _config_list(cfg, key)
-    try:
-        return np.array([_as_complex(v) for v in values])
-    except (TypeError, ValueError):
-        raise ValueError(f"config {key!r} needs numbers or [re, im] "
-                         f"pairs") from None
+    """Config list ``key`` of reals or [re, im] pairs as a complex array;
+    ValueError names the key and the item."""
+    return np.array([_as_complex(f"config {key!r} item {i}", v)
+                     for i, v in enumerate(_config_list(cfg, key))],
+                    dtype=np.complex128)
 
 
-def _as_complex(value) -> complex:
+def _as_complex(name: str, value) -> complex:
+    """A real or an [re, im] pair as a complex; each part passes ``real``."""
     if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(re, im)
-    return complex(value)
+        if len(value) != 2:
+            raise ValueError(f"{name} must be a number or an [re, im] pair, "
+                             f"got {value!r}")
+        return complex(real(name, value[0]), real(name, value[1]))
+    return complex(real(name, value))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -216,10 +218,8 @@ class BranchSet:
     rows of one read-only ``(count, dim)`` matrix ``rows``.
 
     Give either ``branches``, a sequence of ``StateVector``, or ``rows``,
-    a matrix checked once with the unit-norm rule of ``StateVector``. A
-    contiguous complex128 ``rows`` is not copied: the caller's array
-    stays writable, and writing to it later changes the records
-    unchecked.
+    a matrix checked once with the unit-norm rule of ``StateVector``.
+    ``rows`` is stored by ``frozen_array``.
     """
 
     rows: np.ndarray
@@ -235,13 +235,7 @@ class BranchSet:
             if any(b.dim != branches[0].dim for b in branches):
                 raise ValueError("all branches must share one dimension")
             rows = np.stack([b.amplitudes for b in branches])
-        rows = np.ascontiguousarray(rows, dtype=np.complex128).view()
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise ValueError("branch rows must be a non-empty (count, dim) matrix")
-        limits.check_state_dim(rows.shape[1])
-        _check_unit_rows(rows)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _unit_rows("branch rows", rows, 2))
         object.__setattr__(self, "generation_record", generation_record)
 
     @property
@@ -374,21 +368,18 @@ def gram_matrix(branches: BranchSet) -> np.ndarray:
 class ReducedDensityMatrix:
     """k x k system state; Hermitian, unit trace, PSD within tolerance.
 
-    ``matrix`` is a read-only view of a contiguous complex128 input,
-    which is not copied: the caller's array stays writable, and writing
-    to it later changes the state unchecked.
+    ``matrix`` is stored by ``frozen_array``.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        rho = np.ascontiguousarray(self.matrix, dtype=np.complex128).view()
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        rho = frozen_array("density matrix", self.matrix, np.complex128, 2)
+        if rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
         _check_density(rho)
         if not np.min(np.linalg.eigvalsh(rho)) >= -RHO_EIG_ATOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
-        rho.setflags(write=False)
         object.__setattr__(self, "matrix", rho)
 
     @property
@@ -450,7 +441,11 @@ def typicality_ratio(branches: BranchSet, d_eff: float) -> float:
 
 @dataclass(frozen=True)
 class SuppressionResult:
-    """Per-trial overlap and coherence data plus the predicted scales."""
+    """Per-trial overlap and coherence data plus the predicted scales.
+
+    ``pair_overlaps`` and ``max_coherences`` are stored by
+    ``frozen_array``.
+    """
 
     model: MeasurementModel
     trials: int
@@ -461,10 +456,9 @@ class SuppressionResult:
 
     def __post_init__(self):
         object.__setattr__(self, "d_eff", self.model.env_dim)
-        for name in ("pair_overlaps", "max_coherences"):
-            frozen = getattr(self, name).view()
-            frozen.setflags(write=False)
-            object.__setattr__(self, name, frozen)
+        for name, ndim in (("pair_overlaps", 2), ("max_coherences", 1)):
+            object.__setattr__(self, name, frozen_array(
+                name, getattr(self, name), np.float64, ndim))
 
     @property
     def mean_overlap_sq(self) -> float:

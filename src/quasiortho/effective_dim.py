@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import StateVector, Unitary
-from .validate import integer, real
+from .validate import frozen_array, integer, real
 
 __all__ = [
     "Spectrum",
@@ -41,22 +41,19 @@ _JSON_TYPES = {bool: "boolean", str: "string", list: "array", dict: "object",
 class Spectrum:
     """Sorted, finite eigenvalue list of an environment Hamiltonian.
 
-    ``energies`` is a read-only view of a contiguous float64 input,
-    which is not copied: the caller's array stays writable, and writing
-    to it later changes the spectrum unchecked.
+    ``energies`` is stored by ``frozen_array`` and may be empty: an empty
+    spectrum has an empty shell at every energy.
     """
 
     energies: np.ndarray
 
     def __post_init__(self):
-        e = np.ascontiguousarray(self.energies, dtype=float).view()
-        if e.ndim != 1:
-            raise ValueError("energies must be a 1-D sequence")
+        e = frozen_array("energies", self.energies, np.float64, 1,
+                         allow_empty=True)
         if e.size and not np.all(np.isfinite(e)):
             raise ValueError("energies must be finite")
         if np.any(np.diff(e) < 0):
             raise ValueError("energies must be sorted ascending")
-        e.setflags(write=False)
         object.__setattr__(self, "energies", e)
 
     @property

@@ -20,7 +20,7 @@ import numpy as np
 from . import limits
 from .rng import RngStream
 from .states import complex_gaussians
-from .validate import integer, real
+from .validate import frozen_array, integer, real
 
 __all__ = [
     "OverlapDistribution",
@@ -173,9 +173,7 @@ class TestReport:
 class EmpiricalSample:
     """Sorted squared-overlap draws plus the seed record that made them.
 
-    ``values`` is a read-only view of a contiguous float64 input, which
-    is not copied: the caller's array stays writable, and writing to it
-    later changes the sample unchecked.
+    ``values`` is stored by ``frozen_array``.
     """
 
     dim: int
@@ -184,16 +182,13 @@ class EmpiricalSample:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", integer("dim", self.dim, 2))
-        vals = np.ascontiguousarray(self.values, dtype=float).view()
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("values must be a non-empty 1-D sequence")
+        vals = frozen_array("values", self.values, np.float64, 1)
         # a NaN fails every comparison, so it cannot pass either check;
         # once sorted, the end points bound all values
         if not np.all(np.diff(vals) >= 0):
             raise ValueError("values must be sorted ascending")
         if not (vals[0] >= 0.0 and vals[-1] <= 1.0):
             raise ValueError("overlap values must lie in [0, 1]")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property

@@ -20,8 +20,8 @@ from . import limits
 from ._workers import _in_workers
 from .overlap import TestReport
 from .rng import RngStream
-from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _check_unit_rows,
-                     _gram_blocks, _haar_rows)
+from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _gram_blocks,
+                     _haar_rows, _unit_rows)
 from .validate import integer, real
 
 __all__ = [
@@ -131,9 +131,7 @@ class QuasiOrthogonalFamily:
     """Unit vectors, the rows of one read-only ``(size, dim)`` matrix,
     with a certified maximum pairwise squared overlap.
 
-    ``rows`` is a read-only view of a contiguous complex128 input, which
-    is not copied: the caller's array stays writable, and writing to it
-    later changes the family unchecked.
+    ``rows`` is stored by ``frozen_array``.
 
     ``max_pairwise`` is None until :func:`verify` (or a certifying
     constructor) sets it; a singleton family has max_pairwise 0 by
@@ -148,13 +146,10 @@ class QuasiOrthogonalFamily:
     def __post_init__(self):
         self.dim = integer("dim", self.dim, 1)
         self.eps = real("eps", self.eps, 0.0, 1.0, hi_open=True)
-        rows = np.ascontiguousarray(self.rows, dtype=np.complex128).view()
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != self.dim:
-            raise ValueError(
-                f"family rows must be a non-empty (size, {self.dim}) matrix")
-        limits.check_state_dim(self.dim)
-        _check_unit_rows(rows)
-        rows.setflags(write=False)
+        rows = _unit_rows("family rows", self.rows, 2)
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"family rows must have {self.dim} columns, "
+                             f"got shape {rows.shape}")
         self.rows = rows
 
     @property

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import limits
 from .rng import RngStream
-from .validate import integer
+from .validate import frozen_array, integer
 
 __all__ = [
     "StateVector",
@@ -62,22 +62,14 @@ class StateVector:
     """Unit vector in a d-dimensional complex Hilbert space.
 
     Construction validates the dimension cap and that the squared norm is
-    1 within ``NORM_ATOL``. ``amplitudes`` is a read-only view of a
-    contiguous complex128 input, which is not copied: the caller's array
-    stays writable, and writing to it later changes the state unchecked.
+    1 within ``NORM_ATOL``. ``amplitudes`` is stored by ``frozen_array``.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes,
-                                    dtype=np.complex128).view()
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("amplitudes must be a non-empty 1-D sequence")
-        limits.check_state_dim(amps.size)
-        _check_unit_rows(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes",
+                           _unit_rows("amplitudes", self.amplitudes, 1))
 
     @property
     def dim(self) -> int:
@@ -96,25 +88,33 @@ class StateVector:
 class Unitary:
     """d x d unitary matrix, validated entrywise to ``UNITARY_ATOL``.
 
-    ``entries`` is a read-only view of a contiguous complex128 input,
-    which is not copied: the caller's array stays writable, and writing
-    to it later changes the matrix unchecked.
+    ``entries`` is stored by ``frozen_array``.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.entries, dtype=np.complex128).view()
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+        mat = frozen_array("entries", self.entries, np.complex128, 2)
+        if mat.shape[0] != mat.shape[1]:
             raise ValueError("entries must be a square matrix")
         limits.check_unitary_dim(mat.shape[0])
         _check_unitary(mat)
-        mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _unit_rows(name: str, value, ndim: int) -> np.ndarray:
+    """``value`` stored by ``frozen_array`` as complex128 with ``ndim``
+    axes, each of its rows a unit vector of at most
+    ``limits.MAX_STATE_DIM`` entries: the rule of every holder of
+    states."""
+    rows = frozen_array(name, value, np.complex128, ndim)
+    limits.check_state_dim(rows.shape[-1])
+    _check_unit_rows(rows)
+    return rows
 
 
 def _check_unit_rows(rows: np.ndarray) -> None:

@@ -3,7 +3,9 @@
 Every check is written as ``if not <good>: raise``, so NaN, which fails
 every comparison, can never pass. A rejected value raises ValueError
 (the CLI maps it to exit 2); resource caps are a separate decision and
-live in :mod:`quasiortho.limits`.
+live in :mod:`quasiortho.limits`. Only numbers count as numbers: a
+string, bytes or boolean is rejected even where ``float()`` or
+``operator.index()`` would take it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,15 @@ from __future__ import annotations
 import math
 import operator
 
-__all__ = ["integer", "real"]
+import numpy as np
+
+__all__ = ["integer", "real", "frozen_array"]
+
+# Types that float() or operator.index() accept but that are not numbers;
+# a JSON config can carry "3" or true where a number belongs.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+# dtype kinds of numeric arrays: signed and unsigned int, float, complex.
+_NUMBER_KINDS = "iufc"
 
 
 def integer(name: str, value, lo: int, hi: int | None = None) -> int:
@@ -21,6 +31,8 @@ def integer(name: str, value, lo: int, hi: int | None = None) -> int:
     trip (128-bit seeds stay exact). Floats are accepted only when they
     are finite and integer-valued.
     """
+    if isinstance(value, _NOT_NUMBERS):
+        raise _not_a_number(name, value)
     try:
         out = operator.index(value)
     except TypeError:
@@ -53,10 +65,46 @@ def real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
     return x
 
 
+def frozen_array(name: str, value, dtype, ndim: int, *,
+                 allow_empty: bool = False) -> np.ndarray:
+    """``value`` as a read-only C-contiguous ``dtype`` array with ``ndim``
+    axes, non-empty unless ``allow_empty`` is set.
+
+    The storage rule of every array-holding type. An input that already
+    is a contiguous ``dtype`` array is not copied: the result is a
+    read-only view of it, the caller's array stays writable, and writing
+    to it later changes the holder unchecked. Any other input is
+    converted into a new array. Values that are not numbers (strings,
+    booleans, objects) raise ValueError, as does a wrong number of axes
+    or an empty array; a scalar counts as a 1-D array of one entry.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in _NUMBER_KINDS:
+        raise ValueError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=dtype).view()
+    if not (arr.ndim == ndim and (allow_empty or arr.size)):
+        what = "matrix" if ndim == 2 else f"{ndim}-D array"
+        raise ValueError(f"{name} must be a {'' if allow_empty else 'non-empty '}"
+                         f"{what}, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
 def _float(name: str, value) -> float:
-    """``float(value)``; a value of no numeric type (None, a list) raises
-    ValueError like any other rejected input, not TypeError."""
+    """``float(value)`` for a number. Anything else (None, a list, a
+    string, a boolean) raises ValueError like any other rejected input,
+    not TypeError, and so does an int beyond the float range, not
+    OverflowError."""
+    if isinstance(value, _NOT_NUMBERS):
+        raise _not_a_number(name, value)
     try:
         return float(value)
     except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        raise _not_a_number(name, value) from None
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, got a value "
+                         f"beyond the float range") from None
+
+
+def _not_a_number(name: str, value) -> ValueError:
+    return ValueError(f"{name} must be a number, got {value!r}")

@@ -335,8 +335,21 @@ class TestDecohere:
           "dynamics": "exact-haar"}, "coefficients"),
         ({"pointer_count": 2, "coefficients": [0.8, 0.6], "env_qubits": 4,
           "dynamics": "chaotic-circuit", "depht": 1}, "depht"),
+        ({"pointer_count": "2", "coefficients": [0.8, 0.6], "env_qubits": 4,
+          "dynamics": "exact-haar"}, "pointer_count"),
+        ({"pointer_count": 2, "coefficients": [0.8, 0.6], "env_qubits": True,
+          "dynamics": "exact-haar"}, "env_qubits"),
+        ({"pointer_count": 2, "coefficients": ["0.8", 0.6], "env_qubits": 4,
+          "dynamics": "exact-haar"}, "coefficients"),
+        ({"pointer_count": 2, "coefficients": [0.8, 0.6], "env_qubits": 4,
+          "dynamics": "integrable-product", "thetas": [0.0, 10 ** 400]},
+         "theta"),
+        ({"pointer_count": 2, "coefficients": [0.8, [10 ** 400, 0]],
+          "env_qubits": 4, "dynamics": "exact-haar"}, "coefficients"),
     ], ids=["missing-key", "array", "scalar-thetas", "scalar-coefficients",
-            "null-count", "object-coefficient", "unknown-key"])
+            "null-count", "object-coefficient", "unknown-key", "string-count",
+            "boolean-env-qubits", "string-coefficient", "huge-theta",
+            "huge-coefficient"])
     def test_malformed_config_is_usage_error(self, config, key, capsys,
                                              tmp_path):
         # exit 1 means a failed statistical test, so a bad config must
@@ -405,6 +418,39 @@ class TestDeff:
                              "--width", "3"], capsys)
         assert code == 3
         assert out == ""
+
+    def deff_bytes(self, spec, capsys):
+        code, out = run_cli(["deff", "--spectrum", str(spec), "--energy", "0",
+                             "--width", "2", "--no-timestamp"], capsys)
+        assert code == 0
+        return out
+
+    def test_same_spectrum_at_two_paths_gives_same_bytes(self, capsys,
+                                                          tmp_path):
+        # the provenance records the spectrum's content, not its path
+        first, second = tmp_path / "a.txt", tmp_path / "b" / "levels.txt"
+        second.parent.mkdir()
+        for spec in (first, second):
+            spec.write_text("0\n1\n1\n2\n")
+        assert self.deff_bytes(first, capsys) == \
+            self.deff_bytes(second, capsys)
+
+    def test_other_spectrum_at_one_path_gives_other_hash(self, capsys,
+                                                         tmp_path):
+        spec = tmp_path / "levels.txt"
+        hashes = []
+        for text in ("0\n1\n1\n2\n", "0\n1\n1\n1\n"):
+            spec.write_text(text)
+            code, out = run_cli(["deff", "--spectrum", str(spec),
+                                 "--energy", "0", "--width", "2",
+                                 "--format", "json", "--no-timestamp"], capsys)
+            assert code == 0
+            prov = json.loads(out)["provenance"]
+            assert prov["param_spectrum_sha256"] == \
+                hashlib.sha256(text.encode()).hexdigest()
+            assert "param_spectrum" not in prov
+            hashes.append(prov["param_spectrum_sha256"])
+        assert hashes[0] != hashes[1]
 
     def test_missing_file_is_exit_3(self, capsys, tmp_path):
         code, _ = run_cli(["deff", "--spectrum", str(tmp_path / "nope.txt"),

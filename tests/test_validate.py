@@ -48,7 +48,7 @@ class TestValidator:
         with pytest.raises(ValueError):
             real("x", value)
 
-    @pytest.mark.parametrize("value", [None, [1], {}])
+    @pytest.mark.parametrize("value", [None, [1], {}, "3", True, b"3"])
     def test_non_numbers_are_value_errors(self, value):
         # a JSON config can carry null, a list or an object where a
         # number belongs; TypeError would crash the CLI instead of exit 2
@@ -56,6 +56,12 @@ class TestValidator:
             integer("d", value, 1)
         with pytest.raises(ValueError, match="must be a number"):
             real("x", value)
+
+    def test_real_rejects_an_int_beyond_the_float_range(self):
+        # float(10**400) raises OverflowError, which the CLI would not
+        # map to a usage error
+        with pytest.raises(ValueError, match="finite"):
+            real("x", 10 ** 400)
 
 
 def test_huge_seed_stays_exact():
@@ -80,6 +86,11 @@ def test_overflowing_state_vector_raises_without_warning():
     # |1e200|^2 overflows; the suite turns the RuntimeWarning into an error
     with pytest.raises(ValueError):
         sv.StateVector(np.array([1e200, 0.0]))
+
+
+def test_overflowing_coefficients_raise_without_warning():
+    with pytest.raises(ValueError, match="not normalized"):
+        dc.MeasurementModel(2, [1e200, 1.0], 2, "exact-haar")
 
 
 @pytest.mark.parametrize("shape", [2.5, NAN])
@@ -151,6 +162,73 @@ def test_deff_nan_window_is_usage_error(flag, tmp_path):
 def test_decohere_nan_coefficient_is_usage_error():
     assert main(["decohere", "--n", "3", "--k", "2", "--coeffs", "nan", "1",
                  "--seed", "1", "--no-timestamp"]) == 2
+
+
+# ------------------------------------------- array storage: frozen_array
+
+_SAMPLE_MODEL = dc.MeasurementModel(2, [0.6, 0.8], 2, "exact-haar")
+
+# field -> (holder built on an array for that field, a valid real array);
+# each holder stores its array field with validate.frozen_array
+ARRAY_FIELDS = {
+    "StateVector.amplitudes": (sv.StateVector, [0.6, 0.8]),
+    "Unitary.entries": (sv.Unitary, [[0.0, 1.0], [1.0, 0.0]]),
+    "BranchSet.rows": (lambda a: dc.BranchSet(rows=a), np.eye(2, 4)),
+    "QuasiOrthogonalFamily.rows": (
+        lambda a: pk.QuasiOrthogonalFamily(4, 0.5, a), np.eye(2, 4)),
+    "ReducedDensityMatrix.matrix": (dc.ReducedDensityMatrix,
+                                    [[0.5, 0.0], [0.0, 0.5]]),
+    "MeasurementModel.coefficients": (
+        lambda a: dc.MeasurementModel(2, a, 2, "exact-haar"), [0.6, 0.8]),
+    "SuppressionResult.pair_overlaps": (
+        lambda a: dc.SuppressionResult(_SAMPLE_MODEL, 30, a, np.zeros(2),
+                                       (0, 0)), [[0.1], [0.2]]),
+    "SuppressionResult.max_coherences": (
+        lambda a: dc.SuppressionResult(_SAMPLE_MODEL, 30, np.zeros((2, 1)),
+                                       a, (0, 0)), [0.1, 0.2]),
+    "EmpiricalSample.values": (lambda a: ov.EmpiricalSample(8, a, (0, 0)),
+                               [0.1, 0.2]),
+    "Spectrum.energies": (ed.Spectrum, [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ARRAY_FIELDS))
+def test_array_fields_share_one_storage_rule(field):
+    make, valid = ARRAY_FIELDS[field]
+    attr = field.split(".")[1]
+    valid = np.asarray(valid, dtype=float)
+    stored = getattr(make(valid), attr)
+    dtype = stored.dtype
+    assert dtype in (np.complex128, np.float64)
+
+    # a wrong number of axes or an empty array names the field; only a
+    # spectrum may be empty (an empty file is a valid deff input)
+    wrong_ndim = valid[0] if valid.ndim == 2 else valid[None]
+    with pytest.raises(ValueError, match=attr):
+        make(wrong_ndim)
+    empty = np.empty((0,) * valid.ndim)
+    if field == "Spectrum.energies":
+        assert getattr(make(empty), attr).size == 0
+    else:
+        with pytest.raises(ValueError, match=attr):
+            make(empty)
+
+    # strings and booleans are no numbers, even where numpy converts them
+    for bad in (valid.astype(str), np.ones(valid.shape, dtype=bool)):
+        with pytest.raises(ValueError, match=attr):
+            make(bad)
+
+    # an input of another dtype, or not contiguous, is copied; the copy
+    # is contiguous and read-only
+    strided = np.repeat(valid.astype(dtype), 2, axis=-1)[..., ::2]
+    assert not strided.flags.c_contiguous
+    inputs = [strided] + ([valid] if dtype != valid.dtype else [])
+    for given in inputs:
+        out = getattr(make(given), attr)
+        assert not np.shares_memory(out, given)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        assert not out.flags.writeable
+        np.testing.assert_array_equal(out, valid)
 
 
 # --------------------------------------- property: non-finite is rejected
