@@ -164,73 +164,6 @@ def test_decohere_nan_coefficient_is_usage_error():
                  "--seed", "1", "--no-timestamp"]) == 2
 
 
-# ------------------------------------------- array storage: frozen_array
-
-_SAMPLE_MODEL = dc.MeasurementModel(2, [0.6, 0.8], 2, "exact-haar")
-
-# field -> (holder built on an array for that field, a valid real array);
-# each holder stores its array field with validate.frozen_array
-ARRAY_FIELDS = {
-    "StateVector.amplitudes": (sv.StateVector, [0.6, 0.8]),
-    "Unitary.entries": (sv.Unitary, [[0.0, 1.0], [1.0, 0.0]]),
-    "BranchSet.rows": (lambda a: dc.BranchSet(rows=a), np.eye(2, 4)),
-    "QuasiOrthogonalFamily.rows": (
-        lambda a: pk.QuasiOrthogonalFamily(4, 0.5, a), np.eye(2, 4)),
-    "ReducedDensityMatrix.matrix": (dc.ReducedDensityMatrix,
-                                    [[0.5, 0.0], [0.0, 0.5]]),
-    "MeasurementModel.coefficients": (
-        lambda a: dc.MeasurementModel(2, a, 2, "exact-haar"), [0.6, 0.8]),
-    "SuppressionResult.pair_overlaps": (
-        lambda a: dc.SuppressionResult(_SAMPLE_MODEL, 30, a, np.zeros(2),
-                                       (0, 0)), [[0.1], [0.2]]),
-    "SuppressionResult.max_coherences": (
-        lambda a: dc.SuppressionResult(_SAMPLE_MODEL, 30, np.zeros((2, 1)),
-                                       a, (0, 0)), [0.1, 0.2]),
-    "EmpiricalSample.values": (lambda a: ov.EmpiricalSample(8, a, (0, 0)),
-                               [0.1, 0.2]),
-    "Spectrum.energies": (ed.Spectrum, [0.0, 1.0]),
-}
-
-
-@pytest.mark.parametrize("field", sorted(ARRAY_FIELDS))
-def test_array_fields_share_one_storage_rule(field):
-    make, valid = ARRAY_FIELDS[field]
-    attr = field.split(".")[1]
-    valid = np.asarray(valid, dtype=float)
-    stored = getattr(make(valid), attr)
-    dtype = stored.dtype
-    assert dtype in (np.complex128, np.float64)
-
-    # a wrong number of axes or an empty array names the field; only a
-    # spectrum may be empty (an empty file is a valid deff input)
-    wrong_ndim = valid[0] if valid.ndim == 2 else valid[None]
-    with pytest.raises(ValueError, match=attr):
-        make(wrong_ndim)
-    empty = np.empty((0,) * valid.ndim)
-    if field == "Spectrum.energies":
-        assert getattr(make(empty), attr).size == 0
-    else:
-        with pytest.raises(ValueError, match=attr):
-            make(empty)
-
-    # strings and booleans are no numbers, even where numpy converts them
-    for bad in (valid.astype(str), np.ones(valid.shape, dtype=bool)):
-        with pytest.raises(ValueError, match=attr):
-            make(bad)
-
-    # an input of another dtype, or not contiguous, is copied; the copy
-    # is contiguous and read-only
-    strided = np.repeat(valid.astype(dtype), 2, axis=-1)[..., ::2]
-    assert not strided.flags.c_contiguous
-    inputs = [strided] + ([valid] if dtype != valid.dtype else [])
-    for given in inputs:
-        out = getattr(make(given), attr)
-        assert not np.shares_memory(out, given)
-        assert out.dtype == dtype and out.flags.c_contiguous
-        assert not out.flags.writeable
-        np.testing.assert_array_equal(out, valid)
-
-
 # --------------------------------------- property: non-finite is rejected
 
 _SAMPLE = ov.sample_overlaps(8, 200, RngStream(1))
@@ -320,3 +253,68 @@ def test_non_finite_argument_raises_value_error(data):
     for bad in (NAN, INF, -INF):
         with pytest.raises(ValueError):
             fn(*args[:pos], bad, *args[pos + 1:])
+
+
+# ------------------------------------------- array storage: frozen_array
+
+# field -> (holder built on an array for that field, a valid real array);
+# each holder stores its array field with validate.frozen_array
+ARRAY_FIELDS = {
+    "StateVector.amplitudes": (sv.StateVector, [0.6, 0.8]),
+    "Unitary.entries": (sv.Unitary, [[0.0, 1.0], [1.0, 0.0]]),
+    "BranchSet.rows": (lambda a: dc.BranchSet(rows=a), np.eye(2, 4)),
+    "QuasiOrthogonalFamily.rows": (
+        lambda a: pk.QuasiOrthogonalFamily(4, 0.5, a), np.eye(2, 4)),
+    "ReducedDensityMatrix.matrix": (dc.ReducedDensityMatrix,
+                                    [[0.5, 0.0], [0.0, 0.5]]),
+    "MeasurementModel.coefficients": (
+        lambda a: dc.MeasurementModel(2, a, 2, "exact-haar"), [0.6, 0.8]),
+    "SuppressionResult.pair_overlaps": (
+        lambda a: dc.SuppressionResult(_MODEL, 30, a, np.zeros(2),
+                                       (0, 0)), [[0.1], [0.2]]),
+    "SuppressionResult.max_coherences": (
+        lambda a: dc.SuppressionResult(_MODEL, 30, np.zeros((2, 1)),
+                                       a, (0, 0)), [0.1, 0.2]),
+    "EmpiricalSample.values": (lambda a: ov.EmpiricalSample(8, a, (0, 0)),
+                               [0.1, 0.2]),
+    "Spectrum.energies": (ed.Spectrum, [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ARRAY_FIELDS))
+def test_array_fields_share_one_storage_rule(field):
+    make, valid = ARRAY_FIELDS[field]
+    attr = field.split(".")[1]
+    valid = np.asarray(valid, dtype=float)
+    stored = getattr(make(valid), attr)
+    dtype = stored.dtype
+    assert dtype in (np.complex128, np.float64)
+
+    # a wrong number of axes or an empty array names the field; only a
+    # spectrum may be empty (an empty file is a valid deff input)
+    wrong_ndim = valid[0] if valid.ndim == 2 else valid[None]
+    with pytest.raises(ValueError, match=attr):
+        make(wrong_ndim)
+    empty = np.empty((0,) * valid.ndim)
+    if field == "Spectrum.energies":
+        assert getattr(make(empty), attr).size == 0
+    else:
+        with pytest.raises(ValueError, match=attr):
+            make(empty)
+
+    # strings and booleans are not numbers, even where numpy converts them
+    for bad in (valid.astype(str), np.ones(valid.shape, dtype=bool)):
+        with pytest.raises(ValueError, match=attr):
+            make(bad)
+
+    # an input of another dtype, or not contiguous, is copied; the copy
+    # is contiguous and read-only
+    strided = np.repeat(valid.astype(dtype), 2, axis=-1)[..., ::2]
+    assert not strided.flags.c_contiguous
+    inputs = [strided] + ([valid] if dtype != valid.dtype else [])
+    for given in inputs:
+        out = getattr(make(given), attr)
+        assert not np.shares_memory(out, given)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        assert not out.flags.writeable
+        np.testing.assert_array_equal(out, valid)
