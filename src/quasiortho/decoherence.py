@@ -34,7 +34,7 @@ import numpy as np
 
 from . import limits
 from ._workers import _in_workers
-from .rng import RngStream
+from .rng import RngStream, _Rekeyed
 from .states import (StateVector, _apply_gate, _check_unit_rows,
                      _check_unitary, _haar_rows, _haar_unitaries, _unit_rows,
                      basis_state)
@@ -286,11 +286,16 @@ def _block_trials(model: MeasurementModel) -> int:
     return max(1, _BLOCK_ENTRIES // per_trial)
 
 
-def _records(model: MeasurementModel, streams) -> np.ndarray:
-    """``(len(streams), k, 2**n)`` records of a block of trials, in a new
-    array: the one record kernel. Trial b's pointer value i draws from
-    ``streams[b].substream(i)``. The records are not unit-checked here;
-    callers check them.
+def _records(model: MeasurementModel, rng: RngStream, tails,
+             keyed: _Rekeyed) -> np.ndarray:
+    """``(len(tails), k, 2**n)`` records of a block of trials, in a new
+    array: the one record kernel. ``tails`` is a ``(B, L)`` integer
+    block, and trial b's pointer value i draws from
+    ``rng.substream(tails[b][0])...substream(tails[b][-1]).substream(i)``.
+    The block's B k streams are keyed at once (``rng._child_states``) and
+    drawn in turn through the worker's one generator ``keyed``,
+    bit-identical to drawing from each substream. The records are not
+    unit-checked here; callers check them.
 
     * exact-haar: each record is one ``_haar_rows(d, 1, ...)`` draw,
       equal in law to an independent Haar unitary applied to the initial
@@ -309,29 +314,29 @@ def _records(model: MeasurementModel, streams) -> np.ndarray:
     ``_apply_gate`` loop over the sites from ``model.initial_state()``.
     """
     n, k, d = model.env_qubits, model.pointer_count, model.env_dim
-    if model.dynamics == "exact-haar":
-        out = np.empty((len(streams), k, d), dtype=np.complex128)
-        for b, stream in enumerate(streams):
-            for i in range(k):
-                out[b, i] = _haar_rows(d, 1, stream.substream(i))[0]
-        return out
+    tails = np.asarray(tails, dtype=np.int64)
+    trials = len(tails)
     if model.dynamics == "integrable-product":
         sites = [(q,) for q in range(n)]
-        gates = np.stack([[_rotation_y(t)] * n for t in model.thetas]
-                         * len(streams))
+        gates = np.stack([[_rotation_y(t)] * n for t in model.thetas] * trials)
     else:
+        # row b * k + i is trial b's pointer value i
+        states = rng._child_states(np.column_stack(
+            [np.repeat(tails, k, axis=0), np.tile(np.arange(k), trials)]))
+        if model.dynamics == "exact-haar":
+            out = np.empty((trials * k, d), dtype=np.complex128)
+            for j, state in enumerate(states):
+                out[j] = _haar_rows(d, 1, keyed.at(state))[0]
+            return out.reshape(trials, k, d)
         sites = _brickwork(model)
-        gates = np.empty((len(streams) * k, len(sites), 4, 4),
-                         dtype=np.complex128)
-        for b, stream in enumerate(streams):
-            for i in range(k):
-                gates[b * k + i] = _haar_unitaries(4, len(sites),
-                                                   stream.substream(i))
+        gates = np.empty((trials * k, len(sites), 4, 4), dtype=np.complex128)
+        for j, state in enumerate(states):
+            gates[j] = _haar_unitaries(4, len(sites), keyed.at(state))
     _check_unitary(gates)
     amps = np.repeat(model.initial_state().amplitudes[None], len(gates), axis=0)
     for j, targets in enumerate(sites):
         amps = _apply_gate(gates[:, j], targets, amps)
-    return amps.reshape(len(streams), k, d)
+    return amps.reshape(trials, k, d)
 
 
 def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
@@ -349,7 +354,8 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
         "stream_index": rng.stream_index,
         "depth_or_time": model.depth,
     }
-    return BranchSet(rows=_records(model, [rng])[0], generation_record=record)
+    return BranchSet(rows=_records(model, rng, [()], _Rekeyed())[0],
+                     generation_record=record)
 
 
 def gram_matrix(branches: BranchSet) -> np.ndarray:
@@ -546,7 +552,8 @@ def suppression_experiment(model: MeasurementModel, trials: int,
 
     Trial t draws from ``rng.substream(t)``, so the result does not
     depend on execution order, and the trials are partitioned across
-    workers: blocks of bounded memory (``_records``) run on up to
+    workers, each with one reused generator that ``_records`` re-keys
+    for every record: blocks of bounded memory run on up to
     ``_workers._MAX_WORKERS`` threads, never more than the CPUs the
     process may use, with numpy's BLAS held to one thread while more than
     one runs (``_workers._in_workers``). A block's arrays are numpy
@@ -570,7 +577,7 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     c = model.coefficients
 
     if model.dynamics == "integrable-product":
-        recs = _records(model, [rng])
+        recs = _records(model, rng, [()], _Rekeyed())
         _check_unit_rows(recs)
         _block_statistics(c, recs, pair_overlaps[:1], max_coherences[:1])
         pair_overlaps[1:] = pair_overlaps[0]
@@ -580,9 +587,10 @@ def suppression_experiment(model: MeasurementModel, trials: int,
 
         def work(claims):
             """Draw, check and reduce the claimed blocks."""
+            keyed = _Rekeyed()
             for t0 in claims:
                 t1 = min(t0 + step, trials)
-                block = _records(model, [rng.substream(t) for t in range(t0, t1)])
+                block = _records(model, rng, np.arange(t0, t1)[:, None], keyed)
                 _check_unit_rows(block)
                 _block_statistics(c, block, pair_overlaps[t0:t1],
                                   max_coherences[t0:t1])

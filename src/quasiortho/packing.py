@@ -19,7 +19,7 @@ import numpy as np
 from . import limits
 from ._workers import _in_workers
 from .overlap import TestReport
-from .rng import RngStream
+from .rng import RngStream, _Rekeyed
 from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _gram_blocks,
                      _haar_rows, _unit_rows)
 from .validate import integer, real
@@ -53,6 +53,9 @@ _ALPHA_3SIGMA = 0.0026997960632601866
 # matrix-matrix product per batch instead of one matrix-vector product
 # per candidate. 64 measured best; 32-128 was flat.
 _GREEDY_BATCH = 64
+# Trials of success_rate_experiment that a worker claims, and whose
+# streams it keys, at once.
+_RATE_BLOCK = 16
 
 
 def log_lower_bound(d: int, eps: float) -> float:
@@ -315,12 +318,13 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     trials run on the worker threads that ``suppression_experiment``
     uses (``_workers._in_workers``): up to two, never more than the CPUs
     the process may use, with numpy's BLAS held to one thread while more
-    than one runs. Each worker claims one trial at a time and counts its
-    own failures, and the counts are summed after the join, so the report
-    does not depend on the worker count and memory does not grow with
-    ``trials``. The report statistic is the empirical failure fraction
-    and the threshold is the union bound plus three binomial standard
-    errors.
+    than one runs. Each worker claims ``_RATE_BLOCK`` trials at a time,
+    keys their streams at once (``RngStream._child_states``), draws them
+    through its one reused generator and counts its own failures; the
+    counts are summed after the join, so the report does not depend on
+    the worker count and memory does not grow with ``trials``. The report
+    statistic is the empirical failure fraction and the threshold is the
+    union bound plus three binomial standard errors.
     """
     trials = integer("trials", trials, 30)
     d = integer("d", d, 1)
@@ -334,14 +338,16 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
 
     def work(claims):
         """Build and certify the claimed trials; append the failures."""
-        failed = 0
-        for t in claims:
-            mat = _haar_rows(d, m, rng.substream(t))
-            max_pairwise, _ = _pairwise_stats(mat, eps)
-            failed += max_pairwise > eps
+        keyed, failed = _Rekeyed(), 0
+        for t0 in claims:
+            tails = np.arange(t0, min(t0 + _RATE_BLOCK, trials))[:, None]
+            for state in rng._child_states(tails):
+                mat = _haar_rows(d, m, keyed.at(state))
+                max_pairwise, _ = _pairwise_stats(mat, eps)
+                failed += max_pairwise > eps
         counts.append(failed)
 
-    _in_workers(work, range(trials))
+    _in_workers(work, range(0, trials, _RATE_BLOCK))
     failures = sum(counts)
     p_fail = failures / trials
     se = math.sqrt(p_fail * (1.0 - p_fail) / trials)

@@ -42,8 +42,19 @@ def integer(name: str, value, lo: int, hi: int | None = None) -> int:
         out = int(x)
     if not (lo <= out and (hi is None or out <= hi)):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+        raise ValueError(f"{name} must be an integer {bounds}, got "
+                         f"{_shown_int(value, out)}")
     return out
+
+
+def _shown_int(value, out: int) -> str:
+    """``repr(value)``, or for an int too long for Python to print
+    (``sys.get_int_max_str_digits``) its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "a negative" if out < 0 else "an"
+        return f"{sign} integer of {out.bit_length()} bits"
 
 
 def real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
@@ -76,16 +87,17 @@ def frozen_array(name: str, value, dtype, ndim: int, *,
     to it later changes the holder unchecked. Any other input is
     converted into a new array. Values that are not numbers (strings,
     booleans, objects) raise ValueError, as does a wrong number of axes
-    or an empty array; a scalar counts as a 1-D array of one entry.
+    (a scalar has none) or an empty array.
     """
     arr = np.asarray(value)
     if arr.dtype.kind not in _NUMBER_KINDS:
         raise ValueError(f"{name} must hold numbers, got dtype {arr.dtype}")
-    arr = np.ascontiguousarray(arr, dtype=dtype).view()
+    # checked before the conversion, which gives a scalar one axis
     if not (arr.ndim == ndim and (allow_empty or arr.size)):
         what = "matrix" if ndim == 2 else f"{ndim}-D array"
         raise ValueError(f"{name} must be a {'' if allow_empty else 'non-empty '}"
                          f"{what}, got shape {arr.shape}")
+    arr = np.ascontiguousarray(arr, dtype=dtype).view()
     arr.setflags(write=False)
     return arr
 

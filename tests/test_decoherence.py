@@ -135,10 +135,12 @@ class TestRecordsMatchPerGateReference:
         integrable_model(1, thetas=EDGE_THETAS),
         integrable_model(2, thetas=EDGE_THETAS),
         integrable_model(14, thetas=EDGE_THETAS),
+        exact_haar_model(5, k=3, coeffs=GENERIC_PHASES3),
     ], ids=["chaotic-depth7-initial", "chaotic-default", "chaotic-n2",
             "integrable-initial", "integrable-basis", "integrable-n1-edges",
-            "integrable-n2-edges", "integrable-n14-edges"])
-    @pytest.mark.parametrize("seed", [0, 5])
+            "integrable-n2-edges", "integrable-n14-edges", "exact-haar"])
+    # 2**128 + 1 is a seed of five entropy words
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 128 + 1])
     def test_records_bit_identical(self, model, seed):
         # bytes, not values: the sign of a zero must match too
         rng = RngStream(seed, 2)
@@ -149,6 +151,15 @@ class TestRecordsMatchPerGateReference:
             assert g.amplitudes.tobytes() == w.tobytes()
 
     def test_suppression_outputs_bit_identical(self):
+        self.check_suppression_against_reference(RngStream(31))
+
+    def test_suppression_outputs_of_a_five_word_seed(self):
+        self.check_suppression_against_reference(RngStream(2 ** 128 + 1, 4))
+
+    @staticmethod
+    def check_suppression_against_reference(rng):
+        """30 trials of each model, trial t against the per-gate records
+        of ``rng.substream(t)``."""
         models = {
             "chaotic": MeasurementModel(
                 pointer_count=3, coefficients=np.array([0.6, 0.64j, 0.48]),
@@ -168,7 +179,6 @@ class TestRecordsMatchPerGateReference:
                 12, k=4, coeffs=np.array([0.5, 0.5j, -0.5, 0.5])),
         }
         for name, model in models.items():
-            rng = RngStream(31)
             result = suppression_experiment(model, 30, rng)
             c = model.coefficients
             for t in range(30):
@@ -700,8 +710,9 @@ class TestWorkers:
     @classmethod
     def before_each_claim(cls, monkeypatch, name, hook):
         """Call ``hook()`` ahead of the kernel that runs each claim of
-        ``name``: ``_haar_rows`` in the rate experiment, ``_records`` in
-        the decoherence engine."""
+        ``name``: ``_records`` in the decoherence engine, ``_haar_rows``
+        in the rate experiment, where it runs once per trial, so once per
+        claim when ``packing._RATE_BLOCK`` is 1."""
         module, attr = ((packing, "_haar_rows") if name in cls.RATES
                         else (dc, "_records"))
         original = getattr(module, attr)
@@ -727,17 +738,20 @@ class TestWorkers:
         return threads
 
     # block sizes that split 37 trials into several blocks, the last
-    # partial; the rate experiment claims one trial at a time
+    # partial: _BLOCK_ENTRIES of a decohere run, _RATE_BLOCK trials of the
+    # rate experiment
     @pytest.mark.parametrize("name, entries", [
         ("chaotic-initial", 1 << 11),   # 4 trials per block
         ("exact-haar-k3", 1 << 11),     # 5 trials per block
         ("chaotic-n10-partial", dc._BLOCK_ENTRIES),
-        pytest.param("rate-mixed", None, id="rate-mixed"),
-        pytest.param("rate-none-fail", None, id="rate-none-fail"),
-        pytest.param("rate-all-fail", None, id="rate-all-fail"),
+        pytest.param("rate-mixed", 8, id="rate-mixed"),
+        pytest.param("rate-none-fail", 8, id="rate-none-fail"),
+        pytest.param("rate-all-fail", 8, id="rate-all-fail"),
     ])
     def test_worker_count_changes_no_byte(self, name, entries, monkeypatch):
-        if entries is not None:
+        if name in self.RATES:
+            monkeypatch.setattr(packing, "_RATE_BLOCK", entries)
+        else:
             monkeypatch.setattr(dc, "_BLOCK_ENTRIES", entries)
         results, threads = {}, self.record_threads(monkeypatch, name)
         for cpus in (1, 2):
@@ -757,6 +771,7 @@ class TestWorkers:
         # trial claimed twice or never, or a failure count lost, would
         # change the output
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
+        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per claim
         monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
         serial = self.outcome(name, 200, 29)
         monkeypatch.setattr(_workers, "_MAX_WORKERS", 6)
@@ -801,6 +816,7 @@ class TestWorkers:
                                                     monkeypatch):
         monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
+        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per claim
         calls = []
 
         def hook():
@@ -824,6 +840,7 @@ class TestWorkers:
                                                            monkeypatch):
         monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
+        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per claim
         main = threading.main_thread()
 
         def hook():

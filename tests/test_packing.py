@@ -25,7 +25,7 @@ from quasiortho import (
     union_bound_failure,
     verify,
 )
-from quasiortho import limits, packing, states
+from quasiortho import _workers, limits, packing, states
 from quasiortho.packing import _GREEDY_BATCH, _pairwise_stats
 from quasiortho.states import _haar_rows, pairwise_overlap_sq
 
@@ -482,6 +482,30 @@ class TestSuccessRateExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             success_rate_experiment(8, 0.5, 2, 10, RngStream(0))
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, pytest.param(
+        packing._RATE_BLOCK, id="default")])
+    def test_trials_draw_from_their_substreams(self, block, monkeypatch):
+        # a 5-word seed, keyed a block at a time, on one worker so that
+        # the trials draw in order; trial t must draw rng.substream(t)'s
+        # rows, whatever the block size
+        monkeypatch.setattr(packing, "_RATE_BLOCK", block)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
+        rng = RngStream(2 ** 128 + 1, 6)
+        drawn = []
+
+        def haar_rows(*args):
+            drawn.append(_haar_rows(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(packing, "_haar_rows", haar_rows)
+        d, eps, m, trials = 8, 0.4, 6, 40   # about a third fail
+        report = success_rate_experiment(d, eps, m, trials, rng)
+        want = [_haar_rows(d, m, rng.substream(t)) for t in range(trials)]
+        assert [a.tobytes() for a in drawn] == [w.tobytes() for w in want]
+        failures = sum(_pairwise_stats(w, eps)[0] > eps for w in want)
+        assert 0 < failures < trials
+        assert report.statistic == failures / trials
 
     def test_alpha_is_the_two_sided_three_sigma_level(self):
         report = success_rate_experiment(2, 0.999999, 3, 30, RngStream(10))

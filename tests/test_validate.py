@@ -63,6 +63,16 @@ class TestValidator:
         with pytest.raises(ValueError, match="finite"):
             real("x", 10 ** 400)
 
+    def test_an_int_too_long_to_print_is_named_by_bit_length(self):
+        # repr of an int past 4300 digits raises Python's own ValueError,
+        # which would name no argument
+        with pytest.raises(ValueError, match=r"^d must be an integer in "
+                           r"\[1, 10\], got an integer of 16610 bits$"):
+            integer("d", 10 ** 5000, 1, 10)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, "
+                           r"got a negative integer of 16610 bits$"):
+            RngStream(-10 ** 5000)
+
 
 def test_huge_seed_stays_exact():
     # seeds drawn from system entropy are 128-bit; no float round trip
@@ -295,6 +305,10 @@ def test_array_fields_share_one_storage_rule(field):
     wrong_ndim = valid[0] if valid.ndim == 2 else valid[None]
     with pytest.raises(ValueError, match=attr):
         make(wrong_ndim)
+    # a scalar has no axes; it is not a one-entry array
+    for scalar in (valid.flat[0], np.asarray(valid.flat[0])):
+        with pytest.raises(ValueError, match=attr):
+            make(scalar)
     empty = np.empty((0,) * valid.ndim)
     if field == "Spectrum.energies":
         assert getattr(make(empty), attr).size == 0
