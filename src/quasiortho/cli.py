@@ -17,8 +17,10 @@ it only calls them early where a late rejection would waste a full draw.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -76,8 +78,13 @@ def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
 
 
 def _write(path, fmt: str, prov: dict, summary: dict, columns: list,
-           rows: list) -> None:
-    """Write one artifact as CSV or JSON to ``path``, or stdout if None."""
+           rows) -> None:
+    """Write one artifact as CSV or JSON to ``path``, or stdout if None.
+
+    ``rows`` is any iterable of row lists. CSV lines are written as it
+    yields them, so a generator of rows is never held whole; JSON is
+    built as one object first.
+    """
     if fmt == "json":
         obj = {
             "provenance": prov,
@@ -85,18 +92,16 @@ def _write(path, fmt: str, prov: dict, summary: dict, columns: list,
             "columns": columns,
             "rows": [dict(zip(columns, row)) for row in rows],
         }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        lines = [json.dumps(obj, indent=2, sort_keys=True)]
     else:
-        lines = [f"# {k}={_fmt_cell(v)}" for k, v in sorted(prov.items())]
-        lines += [f"# {k}={_fmt_cell(v)}" for k, v in sorted(summary.items())]
-        lines.append(",".join(columns))
-        lines += [",".join(_fmt_cell(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines = itertools.chain(
+            (f"# {k}={_fmt_cell(v)}" for k, v in sorted(prov.items())),
+            (f"# {k}={_fmt_cell(v)}" for k, v in sorted(summary.items())),
+            [",".join(columns)],
+            (",".join(_fmt_cell(c) for c in row) for row in rows))
+    with (open(path, "w", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:
@@ -106,7 +111,7 @@ def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:
     columns = [f"{part}{k}" for k in range(family.dim) for part in ("re", "im")]
     # a complex128 row viewed as float64 is (re0, im0, re1, im1, ...)
     _write(path, "csv", prov, summary, columns,
-           family.rows.view(np.float64).tolist())
+           (row.tolist() for row in family.rows.view(np.float64)))
 
 
 def cmd_overlap_dist(args) -> int:
@@ -313,11 +318,9 @@ def cmd_decohere(args) -> int:
     k = model.pointer_count
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     columns = ["trial", "pair", "squared_overlap", "max_coherence"]
-    rows = []
-    for t in range(result.trials):
-        for p, (i, j) in enumerate(pairs):
-            rows.append([t, f"{i}-{j}", float(result.pair_overlaps[t, p]),
-                         float(result.max_coherences[t])])
+    rows = ([t, f"{i}-{j}", float(result.pair_overlaps[t, p]),
+             float(result.max_coherences[t])]
+            for t in range(result.trials) for p, (i, j) in enumerate(pairs))
     summary = result.summary()
     prov = _provenance(args, "decohere", seed, {
         "n": model.env_qubits, "k": k, "dynamics": model.dynamics,

@@ -123,6 +123,9 @@ class MeasurementModel:
         if self.dynamics == "integrable-product":
             if self.thetas is None:
                 raise ValueError("integrable-product dynamics needs thetas")
+            if np.ndim(self.thetas) != 1:
+                raise ValueError(f"thetas must be a sequence of angles, got "
+                                 f"{self.thetas!r}")
             thetas = tuple(real("theta", t) for t in self.thetas)
             if len(thetas) != k:
                 raise ValueError(
@@ -132,10 +135,11 @@ class MeasurementModel:
         elif self.thetas is not None:
             raise ValueError("thetas only apply to integrable-product dynamics")
 
-        if self.env_initial is not None and self.env_initial.dim != self.env_dim:
-            raise ValueError(
-                f"env_initial dim {self.env_initial.dim} != 2**{self.env_qubits}"
-            )
+        if self.env_initial is not None and not (
+                isinstance(self.env_initial, StateVector)
+                and self.env_initial.dim == self.env_dim):
+            raise ValueError(f"env_initial must be a StateVector of dim "
+                             f"2**{self.env_qubits}, got {self.env_initial!r}")
 
     @property
     def env_dim(self) -> int:
@@ -286,16 +290,13 @@ def _block_trials(model: MeasurementModel) -> int:
     return max(1, _BLOCK_ENTRIES // per_trial)
 
 
-def _records(model: MeasurementModel, rng: RngStream, tails,
-             keyed: _Rekeyed) -> np.ndarray:
-    """``(len(tails), k, 2**n)`` records of a block of trials, in a new
-    array: the one record kernel. ``tails`` is a ``(B, L)`` integer
-    block, and trial b's pointer value i draws from
-    ``rng.substream(tails[b][0])...substream(tails[b][-1]).substream(i)``.
-    The block's B k streams are keyed at once (``rng._child_states``) and
-    drawn in turn through the worker's one generator ``keyed``,
-    bit-identical to drawing from each substream. The records are not
-    unit-checked here; callers check them.
+def _records(model: MeasurementModel, streams, trials: int) -> np.ndarray:
+    """``(trials, k, 2**n)`` records of a block of trials, in a new array:
+    the one record kernel. It only draws: ``streams`` yields one stream
+    per record, trial-major (item b k + i is trial b's pointer value i),
+    keyed by the caller (``generate_branches``, or a worker of
+    ``suppression_experiment``). The records are not unit-checked here;
+    callers check them.
 
     * exact-haar: each record is one ``_haar_rows(d, 1, ...)`` draw,
       equal in law to an independent Haar unitary applied to the initial
@@ -314,24 +315,19 @@ def _records(model: MeasurementModel, rng: RngStream, tails,
     ``_apply_gate`` loop over the sites from ``model.initial_state()``.
     """
     n, k, d = model.env_qubits, model.pointer_count, model.env_dim
-    tails = np.asarray(tails, dtype=np.int64)
-    trials = len(tails)
     if model.dynamics == "integrable-product":
         sites = [(q,) for q in range(n)]
         gates = np.stack([[_rotation_y(t)] * n for t in model.thetas] * trials)
+    elif model.dynamics == "exact-haar":
+        out = np.empty((trials * k, d), dtype=np.complex128)
+        for j, stream in enumerate(streams):
+            out[j] = _haar_rows(d, 1, stream)[0]
+        return out.reshape(trials, k, d)
     else:
-        # row b * k + i is trial b's pointer value i
-        states = rng._child_states(np.column_stack(
-            [np.repeat(tails, k, axis=0), np.tile(np.arange(k), trials)]))
-        if model.dynamics == "exact-haar":
-            out = np.empty((trials * k, d), dtype=np.complex128)
-            for j, state in enumerate(states):
-                out[j] = _haar_rows(d, 1, keyed.at(state))[0]
-            return out.reshape(trials, k, d)
         sites = _brickwork(model)
         gates = np.empty((trials * k, len(sites), 4, 4), dtype=np.complex128)
-        for j, state in enumerate(states):
-            gates[j] = _haar_unitaries(4, len(sites), keyed.at(state))
+        for j, stream in enumerate(streams):
+            gates[j] = _haar_unitaries(4, len(sites), stream)
     _check_unitary(gates)
     amps = np.repeat(model.initial_state().amplitudes[None], len(gates), axis=0)
     for j, targets in enumerate(sites):
@@ -342,11 +338,12 @@ def _records(model: MeasurementModel, rng: RngStream, tails,
 def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
     """Evolve the initial environment state once per pointer value.
 
-    Pointer value i draws from ``rng.substream(i)``, so branch sets are
-    reproducible from (model, seed, stream_index) alone and independent
-    of evaluation order. The records are one trial of the block kernel
-    that ``suppression_experiment`` runs (see ``_records`` for how each
-    dynamics draws them), checked once as the rows of the ``BranchSet``.
+    Pointer value i draws from ``rng.substream(i)``, which is built here
+    and handed to the record kernel, so branch sets are reproducible from
+    (model, seed, stream_index) alone and independent of evaluation order.
+    The records are one trial of the kernel that ``suppression_experiment``
+    runs by the block (see ``_records`` for how each dynamics draws them),
+    checked once as the rows of the ``BranchSet``.
     """
     record = {
         "dynamics": model.dynamics,
@@ -354,7 +351,8 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
         "stream_index": rng.stream_index,
         "depth_or_time": model.depth,
     }
-    return BranchSet(rows=_records(model, rng, [()], _Rekeyed())[0],
+    streams = (rng.substream(i) for i in range(model.pointer_count))
+    return BranchSet(rows=_records(model, streams, 1)[0],
                      generation_record=record)
 
 
@@ -450,7 +448,7 @@ class SuppressionResult:
     """Per-trial overlap and coherence data plus the predicted scales.
 
     ``pair_overlaps`` and ``max_coherences`` are stored by
-    ``frozen_array``.
+    ``frozen_array``, one row per trial.
     """
 
     model: MeasurementModel
@@ -461,10 +459,21 @@ class SuppressionResult:
     d_eff: int = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.model, MeasurementModel):
+            raise ValueError(f"model must be a MeasurementModel, got "
+                             f"{type(self.model).__name__}")
+        k = self.model.pointer_count
+        # two trials at least, for the ddof=1 variances
+        trials = integer("trials", self.trials, 2)
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "d_eff", self.model.env_dim)
-        for name, ndim in (("pair_overlaps", 2), ("max_coherences", 1)):
-            object.__setattr__(self, name, frozen_array(
-                name, getattr(self, name), np.float64, ndim))
+        for name, shape in (("pair_overlaps", (trials, k * (k - 1) // 2)),
+                            ("max_coherences", (trials,))):
+            arr = frozen_array(name, getattr(self, name), np.float64, len(shape))
+            if arr.shape != shape:
+                raise ValueError(f"{name} of {trials} trials and {k} pointer "
+                                 f"values must have shape {shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
 
     @property
     def mean_overlap_sq(self) -> float:
@@ -550,19 +559,19 @@ def suppression_experiment(model: MeasurementModel, trials: int,
                            rng: RngStream) -> SuppressionResult:
     """Regenerate branches per trial and collect overlap/coherence stats.
 
-    Trial t draws from ``rng.substream(t)``, so the result does not
-    depend on execution order, and the trials are partitioned across
-    workers, each with one reused generator that ``_records`` re-keys
-    for every record: blocks of bounded memory run on up to
-    ``_workers._MAX_WORKERS`` threads, never more than the CPUs the
-    process may use, with numpy's BLAS held to one thread while more than
-    one runs (``_workers._in_workers``). A block's arrays are numpy
-    temporaries that die with the block, and each worker writes disjoint
-    output rows, so the output bytes do not depend on the worker count.
-    Integrable trials draw nothing, so their records and statistics are
-    formed once, serially, and copied into every trial's row. Every block
-    of records is unit-checked, and its statistics come from one pass
-    (``_block_statistics``): pair overlaps |G_ij|^2, i < j, as
+    Trial t draws from ``rng.substream(t)``, so the result does not depend
+    on execution order. The streams are keyed here: each worker keys a
+    claimed block's record streams at once (``_child_states``) and hands
+    ``_records`` its one generator, re-keyed per record. Blocks of bounded
+    memory run on up to ``_workers._MAX_WORKERS`` threads, never more than
+    the CPUs the process may use, with numpy's BLAS held to one thread
+    while more than one runs (``_workers._in_workers``). A block's arrays
+    are numpy temporaries that die with the block, and each worker writes
+    disjoint output rows, so the output bytes do not depend on the worker
+    count. Integrable trials draw nothing, so their records and statistics
+    are formed once, serially, and copied into every trial's row. Every
+    block of records is unit-checked, and its statistics come from one
+    pass (``_block_statistics``): pair overlaps |G_ij|^2, i < j, as
     ``typicality_ratio`` takes them, and max coherences bit-identical to
     ``max_coherence(reduced_density(...))`` on the same records. The
     output's trials x k(k-1)/2 overlaps are capped by
@@ -577,7 +586,7 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     c = model.coefficients
 
     if model.dynamics == "integrable-product":
-        recs = _records(model, rng, [()], _Rekeyed())
+        recs = _records(model, (), 1)
         _check_unit_rows(recs)
         _block_statistics(c, recs, pair_overlaps[:1], max_coherences[:1])
         pair_overlaps[1:] = pair_overlaps[0]
@@ -586,11 +595,14 @@ def suppression_experiment(model: MeasurementModel, trials: int,
         step = min(_block_trials(model), trials)
 
         def work(claims):
-            """Draw, check and reduce the claimed blocks."""
+            """Key, draw, check and reduce the claimed blocks."""
             keyed = _Rekeyed()
             for t0 in claims:
                 t1 = min(t0 + step, trials)
-                block = _records(model, rng, np.arange(t0, t1)[:, None], keyed)
+                # row (t, i) keys trial t's pointer value i, trial-major
+                states = rng._child_states(np.column_stack(
+                    np.divmod(np.arange(t0 * k, t1 * k), k)))
+                block = _records(model, (keyed.at(s) for s in states), t1 - t0)
                 _check_unit_rows(block)
                 _block_statistics(c, block, pair_overlaps[t0:t1],
                                   max_coherences[t0:t1])

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import limits
 from .states import StateVector, Unitary
 from .validate import frozen_array, integer, real
 
@@ -192,10 +193,15 @@ def noninteracting_qubit_spectrum(n: int) -> Spectrum:
     """Spectrum of n non-interacting qubits: energy = excitation count.
 
     The level at energy m has degeneracy C(n, m), which makes this the
-    standard combinatorial testbed for shell counting.
+    standard combinatorial testbed for shell counting. The 2**n levels
+    are capped by ``limits.MAX_SAMPLE_COUNT`` before anything is
+    allocated.
     """
     n = integer("n", n, 1)
-    counts = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        counts = np.concatenate([counts, counts + 1])
-    return Spectrum(np.sort(counts).astype(float))
+    # 2**n exceeds the cap exactly when n reaches the cap's bit length,
+    # so a huge n forms no huge integer
+    if n >= limits.MAX_SAMPLE_COUNT.bit_length():
+        raise limits.ResourceLimitError(
+            f"2**{n} levels exceed the sample cap {limits.MAX_SAMPLE_COUNT}")
+    return Spectrum(np.repeat(np.arange(n + 1.0),
+                              [math.comb(n, m) for m in range(n + 1)]))

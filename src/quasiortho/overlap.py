@@ -153,7 +153,11 @@ class OverlapDistribution:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of a statistical check; passes iff statistic <= threshold."""
+    """Outcome of a statistical check; passes iff statistic <= threshold.
+
+    ``alpha`` is the check's significance level, in (0, 1) as for
+    :func:`ks_critical_value`.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -166,6 +170,7 @@ class TestReport:
     def __post_init__(self):
         statistic = real("statistic", self.statistic)
         threshold = real("threshold", self.threshold)
+        real("alpha", self.alpha, 0.0, 1.0, lo_open=True, hi_open=True)
         object.__setattr__(self, "passed", statistic <= threshold)
 
 

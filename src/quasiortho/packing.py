@@ -138,7 +138,7 @@ class QuasiOrthogonalFamily:
 
     ``max_pairwise`` is None until :func:`verify` (or a certifying
     constructor) sets it; a singleton family has max_pairwise 0 by
-    convention.
+    convention. A given value must be a finite number >= 0.
     """
 
     dim: int
@@ -154,6 +154,8 @@ class QuasiOrthogonalFamily:
             raise ValueError(f"family rows must have {self.dim} columns, "
                              f"got shape {rows.shape}")
         self.rows = rows
+        if self.max_pairwise is not None:
+            self.max_pairwise = real("max_pairwise", self.max_pairwise, 0.0)
 
     @property
     def size(self) -> int:

@@ -376,28 +376,14 @@ def apply_local(u_small: Unitary, targets, psi: StateVector) -> StateVector:
 
 @functools.lru_cache(maxsize=256)
 def _gate_layout(n: int, targets: tuple) -> tuple:
-    """Reshapes and axis orders that bring ``targets`` to the front of a
-    ``(batch, 2**n)`` stack of states, behind its batch axis.
-
-    Qubit axes that stay adjacent after the move are merged into one
-    axis, so both transposes copy over a few long axes, not n short ones.
-    Returns (shape, perm, moved shape, inverse perm), each with the batch
-    axis first.
+    """Axis order that brings ``targets`` to the front of a
+    ``(batch, 2, ..., 2)`` stack of n-qubit states, behind its batch
+    axis, and its inverse. Axes that stay adjacent are not merged by
+    hand: numpy merges them itself when it copies the transposed view.
     """
-    order = list(targets) + [a for a in range(n) if a not in targets]
-    runs = []   # [first qubit, qubit count] in moved order
-    for a in order:
-        if runs and sum(runs[-1]) == a:
-            runs[-1][1] += 1
-        else:
-            runs.append([a, 1])
-    ordered = sorted(runs)
-    perm = tuple(ordered.index(run) for run in runs)
-    inverse = tuple(perm.index(i) for i in range(len(perm)))
-    return ((-1,) + tuple(2 ** c for _, c in ordered),
-            (0,) + tuple(p + 1 for p in perm),
-            (-1,) + tuple(2 ** c for _, c in runs),
-            (0,) + tuple(i + 1 for i in inverse))
+    perm = (0,) + tuple(t + 1 for t in targets) + tuple(
+        a + 1 for a in range(n) if a not in targets)
+    return perm, tuple(perm.index(a) for a in range(n + 1))
 
 
 def _apply_gate(entries: np.ndarray, targets, amps: np.ndarray) -> np.ndarray:
@@ -406,19 +392,19 @@ def _apply_gate(entries: np.ndarray, targets, amps: np.ndarray) -> np.ndarray:
     a ``(batch, 2**n)`` stack of states.
 
     No validation; ``apply_local`` states the contract. The target qubits
-    are moved to the front, each gate is one matrix product on its state's
-    ``(2**k, 2**(n-k))`` block, and the qubits are moved back. The block
-    is the one an n-axis ``np.moveaxis`` builds, and the stacked product
-    runs one BLAS product per state on it, so each state's result is
-    bit-identical to a product on that state alone. A stacked product over
-    a ``(2**q, 2**k, m)`` view would skip both copies, but it changed the
-    last bit whenever m was small (OpenBLAS picks other kernels for narrow
-    operands).
+    are moved to the front (numpy merges adjacent axes in the copy), each
+    gate is one matrix product on its state's ``(2**k, 2**(n-k))`` block,
+    and the qubits are moved back. The block is the one an n-axis
+    ``np.moveaxis`` builds, and the stacked product runs one BLAS product
+    per state on it, so each state's result is bit-identical to a product
+    on that state alone. A stacked product over a ``(2**q, 2**k, m)``
+    view would skip both copies, but it changed the last bit whenever m
+    was small (OpenBLAS picks other kernels for narrow operands).
     """
     batch, dim = amps.shape
-    shape, perm, moved, inverse = _gate_layout(dim.bit_length() - 1,
-                                               tuple(targets))
-    block = amps.reshape(shape).transpose(perm).reshape(
+    qubits = (batch,) + (2,) * (dim.bit_length() - 1)
+    perm, inverse = _gate_layout(len(qubits) - 1, tuple(targets))
+    block = amps.reshape(qubits).transpose(perm).reshape(
         batch, entries.shape[-1], -1)
     out = entries @ block
-    return out.reshape(moved).transpose(inverse).reshape(batch, dim)
+    return out.reshape(qubits).transpose(inverse).reshape(batch, dim)

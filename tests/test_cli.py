@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quasiortho.cli
 import quasiortho.limits
 import quasiortho.states
 from quasiortho import RngStream, greedy_construct, wilson_interval
-from quasiortho.cli import main
+from quasiortho.cli import _fmt_cell, main
 
 
 def run_cli(args, capsys=None):
@@ -634,3 +635,97 @@ def test_module_entry_point_bad_eps_is_usage_error():
     proc = run_module("packing", "bound", "--d", "100", "--eps", "nan")
     assert proc.returncode == 2
     assert "eps" in proc.stderr
+
+
+def list_write(path, fmt, prov, summary, columns, rows):
+    """Reference artifact writer: every line built in one list, then
+    written at once. The streamed writer must match its bytes."""
+    if fmt == "json":
+        obj = {"provenance": prov, "summary": summary, "columns": columns,
+               "rows": [dict(zip(columns, row)) for row in rows]}
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [f"# {k}={_fmt_cell(v)}" for k, v in sorted(prov.items())]
+        lines += [f"# {k}={_fmt_cell(v)}" for k, v in sorted(summary.items())]
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt_cell(c) for c in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("argv", [
+        ["decohere", "--n", "3", "--k", "3", "--trials", "31", "--seed", "4"],
+        ["decohere", "--n", "3", "--dynamics", "integrable", "--theta", "0",
+         "0.5", "--trials", "30", "--seed", "4"],
+        ["packing", "build", "--d", "8", "--eps", "0.6", "--M", "4",
+         "--method", "greedy", "--seed", "2", "--family-csv", "{family}"],
+        ["packing", "build", "--d", "16", "--eps", "0.6", "--M", "4",
+         "--seed", "2", "--family-csv", "{family}"],
+    ], ids=["exact-haar", "integrable", "greedy-family", "random-family"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_bytes_match_the_list_writer(self, argv, fmt, to_file, tmp_path,
+                                         capsys, monkeypatch):
+        outputs = []
+        for name, writer in (("streamed", quasiortho.cli._write),
+                             ("list", list_write)):
+            monkeypatch.setattr(quasiortho.cli, "_write", writer)
+            paths = {"{family}": str(tmp_path / f"{name}-family.csv")}
+            args = [paths.get(a, a) for a in argv]
+            args += ["--format", fmt, "--no-timestamp"]
+            if to_file:
+                args += ["--output", str(tmp_path / f"{name}.out")]
+            assert main(args) == 0
+            out = capsys.readouterr().out
+            if to_file:
+                assert out == ""
+                out = (tmp_path / f"{name}.out").read_text()
+            family = tmp_path / f"{name}-family.csv"
+            outputs.append((out, family.read_text() if family.exists()
+                            else None))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_rows(self, fmt, capsys):
+        outputs = []
+        for writer in (quasiortho.cli._write, list_write):
+            writer(None, fmt, {"seed": 1}, {"x": None}, ["a", "b"], iter(()))
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident set, VmHWM, of "
+                               "/proc/self/status")
+    def test_csv_rows_are_not_held_in_memory(self, tmp_path):
+        # 200,000 rows built as lists before writing held about 100 MB.
+        # The peak is read inside the child: its ru_maxrss would start at
+        # the peak of the process that started it.
+        code = """
+from quasiortho.cli import main
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+before = peak_kb()
+code = main(["decohere", "--n", "1", "--dynamics", "integrable", "--theta",
+             "0", "1", "--trials", "200000", "--seed", "1",
+             "--output", "out.csv", "--no-timestamp"])
+print(code, peak_kb() - before)
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        status, growth_kb = map(int, proc.stdout.split())
+        assert status == 0
+        assert (tmp_path / "out.csv").read_text().count("\n") > 200000
+        # the two 200,000-entry result arrays are 3.2 MB
+        assert growth_kb < 20 * 1024

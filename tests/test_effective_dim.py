@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import quasiortho.effective_dim
+import quasiortho.limits
+from quasiortho.limits import ResourceLimitError
 from quasiortho.effective_dim import _parse_lines
 
 from quasiortho import (
@@ -216,6 +219,45 @@ class TestMicrocanonicalDim:
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
             microcanonical_dim(Spectrum(np.array([0.0])), 0.0, 0.0)
+
+
+def doubling_oracle(n):
+    """Reference levels: the excitation counts of n qubits, doubled n
+    times from [0] and sorted."""
+    counts = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        counts = np.concatenate([counts, counts + 1])
+    return np.sort(counts).astype(float)
+
+
+class TestQubitSpectrum:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_matches_the_doubling_oracle(self, n):
+        got = noninteracting_qubit_spectrum(n).energies
+        want = doubling_oracle(n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [27, 10 ** 6])
+    def test_over_the_cap_is_refused_before_allocating(self, n):
+        # 2**27 levels are 1 GB of floats; 2**(10**6) has 301030 digits
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=rf"2\*\*{n} levels"):
+                noninteracting_qubit_spectrum(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(quasiortho.limits, "MAX_SAMPLE_COUNT", 1024)
+        assert noninteracting_qubit_spectrum(10).size == 1024
+        with pytest.raises(ResourceLimitError):
+            noninteracting_qubit_spectrum(11)
+        monkeypatch.setattr(quasiortho.limits, "MAX_SAMPLE_COUNT", 1023)
+        with pytest.raises(ResourceLimitError):
+            noninteracting_qubit_spectrum(10)
 
 
 class TestEntropy:

@@ -413,7 +413,7 @@ class TestGateKernel:
 
     @pytest.mark.parametrize("n, targets", [
         (2, (0, 1)), (2, (1, 0)), (3, (1, 2)), (7, (5, 6)), (10, (3, 4)),
-        (10, (0, 1)), (14, (12, 13)), (14, (6,)),
+        (10, (0, 1)), (14, (12, 13)), (14, (6,)), (14, (13, 0)),
     ])
     def test_stacked_states_bit_identical_to_one_at_a_time(self, n, targets):
         # one gate per state; n=2 makes the block a single column, which

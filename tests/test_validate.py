@@ -195,7 +195,8 @@ ENTRY_POINTS = {
     "OverlapDistribution": (ov.OverlapDistribution, (8,)),
     "EmpiricalSample": (lambda d, v: ov.EmpiricalSample(d, [v], (0, 0)),
                         (8, 0.5)),
-    "TestReport": (lambda s, t: ov.TestReport(s, t, 0.01, "x"), (0.1, 0.2)),
+    "TestReport": (lambda s, t, a: ov.TestReport(s, t, a, "x"),
+                   (0.1, 0.2, 0.01)),
     "sample_overlaps": (lambda d, n: ov.sample_overlaps(d, n, RngStream(0)),
                         (8, 10)),
     "ks_critical_value": (ov.ks_critical_value, (0.01,)),
@@ -206,8 +207,9 @@ ENTRY_POINTS = {
     "qubit_capacity_log": (pk.qubit_capacity_log, (5, 0.1)),
     "union_bound_failure": (pk.union_bound_failure, (100, 0.1, 10)),
     "QuasiOrthogonalFamily": (
-        lambda d, e: pk.QuasiOrthogonalFamily(d, e, np.eye(4)[:1]),
-        (4, 0.1)),
+        lambda d, e, m: pk.QuasiOrthogonalFamily(d, e, np.eye(4)[:1],
+                                                 max_pairwise=m),
+        (4, 0.1, 0.0)),
     "random_coding_construct": (
         lambda d, e, m: pk.random_coding_construct(d, e, m, RngStream(0)),
         (16, 0.5, 3)),
@@ -228,6 +230,9 @@ ENTRY_POINTS = {
     "typicality_ratio": (lambda d: dc.typicality_ratio(_BRANCHES, d), (4.0,)),
     "suppression_experiment": (
         lambda t: dc.suppression_experiment(_MODEL, t, RngStream(0)), (30,)),
+    "SuppressionResult": (
+        lambda t: dc.SuppressionResult(_MODEL, t, np.zeros((2, 1)),
+                                       np.zeros(2), (0, 0)), (2,)),
     "integrable_overlap_exact": (dc.integrable_overlap_exact, (4, 0.2)),
     "microcanonical_dim": (
         lambda e, w: ed.microcanonical_dim(_SPECTRUM, e, w), (0.0, 1.0)),
@@ -280,10 +285,10 @@ ARRAY_FIELDS = {
     "MeasurementModel.coefficients": (
         lambda a: dc.MeasurementModel(2, a, 2, "exact-haar"), [0.6, 0.8]),
     "SuppressionResult.pair_overlaps": (
-        lambda a: dc.SuppressionResult(_MODEL, 30, a, np.zeros(2),
+        lambda a: dc.SuppressionResult(_MODEL, 2, a, np.zeros(2),
                                        (0, 0)), [[0.1], [0.2]]),
     "SuppressionResult.max_coherences": (
-        lambda a: dc.SuppressionResult(_MODEL, 30, np.zeros((2, 1)),
+        lambda a: dc.SuppressionResult(_MODEL, 2, np.zeros((2, 1)),
                                        a, (0, 0)), [0.1, 0.2]),
     "EmpiricalSample.values": (lambda a: ov.EmpiricalSample(8, a, (0, 0)),
                                [0.1, 0.2]),
@@ -332,3 +337,51 @@ def test_array_fields_share_one_storage_rule(field):
         assert out.dtype == dtype and out.flags.c_contiguous
         assert not out.flags.writeable
         np.testing.assert_array_equal(out, valid)
+
+
+# ---------------------------------- holders: types, ranges and consistency
+
+@pytest.mark.parametrize("value", ["x", -0.1, NAN])
+def test_family_max_pairwise_is_checked_when_given(value):
+    with pytest.raises(ValueError, match="max_pairwise"):
+        pk.QuasiOrthogonalFamily(4, 0.1, np.eye(4)[:2], max_pairwise=value)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, "x"])
+def test_report_alpha_is_a_significance_level(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ov.TestReport(0.1, 0.2, alpha, "x")
+
+
+@pytest.mark.parametrize("model, trials, overlaps, coherences, match", [
+    # 30 rows of overlaps under a trial count of 7
+    (_MODEL, 7, np.zeros((30, 1)), np.zeros(30), "pair_overlaps"),
+    (_MODEL, 30, np.zeros((30, 1)), np.zeros(29), "max_coherences"),
+    # k = 2 pointer values have one pair, not two
+    (_MODEL, 30, np.zeros((30, 2)), np.zeros(30), "pair_overlaps"),
+    (_MODEL, "x", np.zeros((30, 1)), np.zeros(30), "trials"),
+    (_MODEL, 1, np.zeros((1, 1)), np.zeros(1), "trials"),
+    ("x", 30, np.zeros((30, 1)), np.zeros(30), "model"),
+], ids=["trials-vs-overlap-rows", "coherence-rows", "overlap-width",
+        "trials-not-a-number", "one-trial", "model-not-a-model"])
+def test_suppression_result_fields_must_agree(model, trials, overlaps,
+                                              coherences, match):
+    with pytest.raises(ValueError, match=match):
+        dc.SuppressionResult(model, trials, overlaps, coherences, (0, 0))
+
+
+def test_suppression_result_stores_trials_as_int():
+    result = dc.SuppressionResult(_MODEL, np.int64(2), np.zeros((2, 1)),
+                                  np.zeros(2), (0, 0))
+    assert type(result.trials) is int
+    assert result.summary()["trials"] == 2
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("env_initial", {"dynamics": "exact-haar", "env_initial": [1, 0, 0, 0]}),
+    ("thetas", {"dynamics": "integrable-product", "thetas": 0.3}),
+    ("thetas", {"dynamics": "integrable-product", "thetas": "ab"}),
+])
+def test_model_field_of_the_wrong_type_is_named(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        dc.MeasurementModel(2, [0.6, 0.8], 2, **kwargs)
