@@ -77,31 +77,52 @@ def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
     return prov
 
 
+class _RowList(list):
+    """A JSON array whose items are made as json's encoder iterates it.
+
+    It holds only the first item, so ``not rows`` is still true only of
+    no rows, and iterating it yields that item and then the rest of the
+    iterable. json's pure-Python encoder, the one it runs whenever
+    ``indent`` is set, reads a list only through those two.
+    """
+
+    def __init__(self, items):
+        items = iter(items)
+        super().__init__(itertools.islice(items, 1))
+        self._rest = items
+
+    def __iter__(self):
+        return itertools.chain(super().__iter__(), self._rest)
+
+
 def _write(path, fmt: str, prov: dict, summary: dict, columns: list,
            rows) -> None:
     """Write one artifact as CSV or JSON to ``path``, or stdout if None.
 
-    ``rows`` is any iterable of row lists. CSV lines are written as it
-    yields them, so a generator of rows is never held whole; JSON is
-    built as one object first.
+    ``rows`` is any iterable of row lists. It is written as it yields
+    rows, so a generator of rows is never held whole: CSV line by line,
+    and JSON in the chunks of ``json.dumps(obj, indent=2,
+    sort_keys=True)``, with the same bytes.
     """
     if fmt == "json":
         obj = {
             "provenance": prov,
             "summary": summary,
             "columns": columns,
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "rows": _RowList(dict(zip(columns, row)) for row in rows),
         }
-        lines = [json.dumps(obj, indent=2, sort_keys=True)]
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        chunks = itertools.chain(encoder.iterencode(obj), ["\n"])
     else:
         lines = itertools.chain(
             (f"# {k}={_fmt_cell(v)}" for k, v in sorted(prov.items())),
             (f"# {k}={_fmt_cell(v)}" for k, v in sorted(summary.items())),
             [",".join(columns)],
             (",".join(_fmt_cell(c) for c in row) for row in rows))
+        chunks = (line + "\n" for line in lines)
     with (open(path, "w", encoding="utf-8") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(chunks)
 
 
 def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:

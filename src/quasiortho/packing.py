@@ -129,16 +129,19 @@ def union_bound_failure(d: int, eps: float, m: int) -> float:
     return math.exp(log_p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuasiOrthogonalFamily:
     """Unit vectors, the rows of one read-only ``(size, dim)`` matrix,
     with a certified maximum pairwise squared overlap.
 
-    ``rows`` is stored by ``frozen_array``.
+    ``rows`` is stored by ``frozen_array``. The family is a value: no
+    field can be assigned after construction.
 
-    ``max_pairwise`` is None until :func:`verify` (or a certifying
-    constructor) sets it; a singleton family has max_pairwise 0 by
-    convention. A given value must be a finite number >= 0.
+    ``max_pairwise`` is the maximum a certifying constructor found, or
+    None when none was given; :func:`verify` returns the certified
+    maximum and leaves the family as it is. A singleton family has
+    max_pairwise 0 by convention. A given value must be a finite
+    number >= 0.
     """
 
     dim: int
@@ -147,15 +150,18 @@ class QuasiOrthogonalFamily:
     max_pairwise: float | None = None
 
     def __post_init__(self):
-        self.dim = integer("dim", self.dim, 1)
-        self.eps = real("eps", self.eps, 0.0, 1.0, hi_open=True)
+        dim = integer("dim", self.dim, 1)
+        eps = real("eps", self.eps, 0.0, 1.0, hi_open=True)
         rows = _unit_rows("family rows", self.rows, 2)
-        if rows.shape[1] != self.dim:
-            raise ValueError(f"family rows must have {self.dim} columns, "
+        if rows.shape[1] != dim:
+            raise ValueError(f"family rows must have {dim} columns, "
                              f"got shape {rows.shape}")
-        self.rows = rows
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "rows", rows)
         if self.max_pairwise is not None:
-            self.max_pairwise = real("max_pairwise", self.max_pairwise, 0.0)
+            object.__setattr__(self, "max_pairwise",
+                               real("max_pairwise", self.max_pairwise, 0.0))
 
     @property
     def size(self) -> int:
@@ -304,10 +310,10 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
 
 
 def verify(family: QuasiOrthogonalFamily) -> tuple[float, bool]:
-    """Exact all-pairs certification; updates ``family.max_pairwise``."""
+    """Exact all-pairs certification: the maximum pairwise squared overlap
+    and whether it is within ``family.eps``. The family is not changed."""
     limits.check_pairwise_ops(family.size, family.dim)
     max_pairwise, _ = _pairwise_stats(family.rows, family.eps)
-    family.max_pairwise = max_pairwise
     return max_pairwise, max_pairwise <= family.eps
 
 

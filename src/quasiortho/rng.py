@@ -1,4 +1,9 @@
-"""Seeded random streams with independent, addressable substreams."""
+"""Seeded random streams with independent, addressable substreams.
+
+numpy's ``SeedSequence`` keys every stream and runs every scalar hash;
+only the trial loops' block keying (``RngStream._child_states``) runs
+that hash here, vectorized over a block of keys, to numpy's bits.
+"""
 
 from __future__ import annotations
 
@@ -43,49 +48,10 @@ _STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, _STATE_WORDS),
 _STATE_CYCLE = np.arange(_STATE_WORDS) % _POOL_SIZE
 
 
-def _words(n: int) -> list[int]:
-    """The uint32 words numpy's SeedSequence makes of a non-negative int,
-    least significant first: one zero word for 0."""
-    out = [n & _MASK32]
-    n >>= 32
-    while n:
-        out.append(n & _MASK32)
-        n >>= 32
-    return out
-
-
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """numpy's ``hashmix`` of one word: the mixed word and the next
-    hash constant."""
-    value ^= h
-    h = (h * _MULT_A) & _MASK32
-    value = (value * h) & _MASK32
-    return value ^ (value >> 16), h
-
-
 def _mix(x, y):
     """numpy's ``mix`` of two words; elementwise on uint32 arrays."""
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return r ^ (r >> 16)
-
-
-def _mix_entropy(words: list[int]) -> tuple[list[int], int]:
-    """numpy's ``mix_entropy`` of ``words`` into a zero pool: the pool and
-    the hash constant that the next mixed-in word starts from."""
-    h, pool = _INIT_A, []
-    for i in range(_POOL_SIZE):
-        value, h = _hashmix(words[i] if i < len(words) else 0, h)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, h
 
 
 def _pcg64_state(seed: int, initseq: int) -> tuple[int, int]:
@@ -105,9 +71,10 @@ class RngStream:
     keys. :meth:`substream` extends the spawn key, so trial-parallel
     drivers can hand one independent stream to each trial without
     coordinating draw counts; results are then independent of how trials
-    are scheduled. The trial loops key a whole block of descendant
-    streams at once (``_child_states``) and draw each through one reused
-    generator per worker (``_Rekeyed``), bit-identical to ``substream``.
+    are scheduled. The trial loops key a block of descendants at once,
+    numpy hashing the shared key (``_key_pool``) and this module the
+    tails (``_child_states``), and draw each through one generator per
+    worker (``_Rekeyed``), bit-identical to ``substream``.
 
     The stream is the only stateful object in the library: draws advance
     the underlying generator. Share streams across threads only via
@@ -137,25 +104,28 @@ class RngStream:
 
     @functools.cached_property
     def _key_pool(self) -> tuple[np.ndarray, int]:
-        """SeedSequence pool, as a ``(1, 4)`` uint32 row, and next hash
-        constant after the entropy words that every descendant's key
-        starts with: the seed, zero-padded to the pool size (numpy pads
-        whenever a spawn key is given), then ``stream_index`` and the
-        path, each as its own words."""
-        words = _words(self.seed)
-        words += [0] * (_POOL_SIZE - len(words))
-        for part in (self.stream_index, *self._path):
-            words += _words(part)
-        pool, h = _mix_entropy(words)
-        return np.array([pool], dtype=np.uint32), h
+        """numpy's SeedSequence pool for ``(stream_index, *path)``, the key
+        every descendant's starts with, as a ``(1, 4)`` uint32 row, and the
+        hash constant the next mixed-in word starts from. numpy keeps that
+        constant to itself, but its ``mix_entropy`` takes 4 hash steps per
+        word once there are 4, and it pads the seed to 4 words whenever a
+        spawn key is given: after W words it is ``_INIT_A * _MULT_A**(4 W)``
+        modulo 2**32."""
+        key = (self.stream_index, *self._path)
+        # numpy's words of an int: one per started 32 bits, one for 0
+        words = [(int(n).bit_length() + 31) // 32 or 1
+                 for n in (self.seed, *key)]
+        count = max(_POOL_SIZE, words[0]) + sum(words[1:])
+        h = _INIT_A * pow(_MULT_A, _POOL_SIZE * count, _MASK32 + 1) & _MASK32
+        return np.random.SeedSequence(self.seed, spawn_key=key).pool[None], h
 
     def _child_states(self, tails) -> list[tuple[int, int]]:
         """PCG64 ``(state, inc)`` of a block of descendant streams, one per
         row of the ``(K, L)`` integer block ``tails``: row ``(a, b, ...)``
         gives the state that ``self.substream(a).substream(b)...`` seeds.
 
-        numpy's SeedSequence hash is run once over the key words the
-        block shares (``_key_pool``) and then, vectorized over the block,
+        numpy hashes the key the block shares (``_key_pool``). Its
+        SeedSequence hash is then run here, vectorized over the block,
         over each tail column as one uint32 word per index, followed by
         ``generate_state(4, uint64)``; PCG64's seeding steps
         (``_pcg64_state``) follow in Python ints. A block with an index

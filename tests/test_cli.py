@@ -637,6 +637,11 @@ def test_module_entry_point_bad_eps_is_usage_error():
     assert "eps" in proc.stderr
 
 
+needs_vmhwm = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="reads the peak resident set, VmHWM, of /proc/self/status")
+
+
 def list_write(path, fmt, prov, summary, columns, rows):
     """Reference artifact writer: every line built in one list, then
     written at once. The streamed writer must match its bytes."""
@@ -699,14 +704,13 @@ class TestStreamedWriter:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                        reason="reads the peak resident set, VmHWM, of "
-                               "/proc/self/status")
-    def test_csv_rows_are_not_held_in_memory(self, tmp_path):
-        # 200,000 rows built as lists before writing held about 100 MB.
-        # The peak is read inside the child: its ru_maxrss would start at
-        # the peak of the process that started it.
-        code = """
+    @staticmethod
+    def check_rows_are_not_held(fmt, tmp_path):
+        # 200,000 rows built as lists before writing held about 100 MB
+        # for CSV and 276 MB for JSON. The peak is read inside the child:
+        # its ru_maxrss would start at the peak of the process that
+        # started it.
+        code = f"""
 from quasiortho.cli import main
 
 def peak_kb():
@@ -716,8 +720,8 @@ def peak_kb():
 
 before = peak_kb()
 code = main(["decohere", "--n", "1", "--dynamics", "integrable", "--theta",
-             "0", "1", "--trials", "200000", "--seed", "1",
-             "--output", "out.csv", "--no-timestamp"])
+             "0", "1", "--trials", "200000", "--seed", "1", "--format",
+             "{fmt}", "--output", "out.{fmt}", "--no-timestamp"])
 print(code, peak_kb() - before)
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -726,6 +730,18 @@ print(code, peak_kb() - before)
         assert proc.returncode == 0, proc.stderr
         status, growth_kb = map(int, proc.stdout.split())
         assert status == 0
-        assert (tmp_path / "out.csv").read_text().count("\n") > 200000
+        text = (tmp_path / f"out.{fmt}").read_text()
+        if fmt == "json":
+            assert len(json.loads(text)["rows"]) == 200000
+        else:
+            assert text.count("\n") > 200000
         # the two 200,000-entry result arrays are 3.2 MB
         assert growth_kb < 20 * 1024
+
+    @needs_vmhwm
+    def test_csv_rows_are_not_held_in_memory(self, tmp_path):
+        self.check_rows_are_not_held("csv", tmp_path)
+
+    @needs_vmhwm
+    def test_json_rows_are_not_held_in_memory(self, tmp_path):
+        self.check_rows_are_not_held("json", tmp_path)

@@ -608,23 +608,40 @@ class TestSuppressionExperiment:
             assert np.array_equal(blocked.pair_overlaps, default.pair_overlaps)
             assert np.array_equal(blocked.max_coherences, default.max_coherences)
 
-    def test_memory_does_not_grow_with_trials(self):
+    @staticmethod
+    def traced_peak(model, trials):
+        suppression_experiment(model, trials, RngStream(3))   # warm caches
+        tracemalloc.start()
+        try:
+            suppression_experiment(model, trials, RngStream(3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
         # blocks bound the records held at once; past the output arrays
         # (one pair-overlap row and one coherence per trial) the peak must
-        # not depend on the trial count
+        # not depend on the trial count. It is compared on one worker,
+        # where it is the same on every run: two workers' block peaks
+        # coincide or not from run to run, and more often across the
+        # blocks of 300 trials than across those of 30
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
         m = exact_haar_model(12, k=4, coeffs=np.full(4, 0.5))
-
-        def peak(trials):
-            suppression_experiment(m, trials, RngStream(3))   # warm caches
-            tracemalloc.start()
-            try:
-                suppression_experiment(m, trials, RngStream(3))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         outputs = (300 - 30) * 8 * (6 + 1)
-        assert peak(300) <= peak(30) + outputs + 64 * 1024
+        assert (self.traced_peak(m, 300)
+                <= self.traced_peak(m, 30) + outputs + 64 * 1024)
+
+    def test_memory_of_two_workers_is_one_live_block_each(self, monkeypatch):
+        # each worker holds at most one live block, which by the rule
+        # above dc._BLOCK_ENTRIES is 2.5 times its records plus a record
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
+        k = 4
+        m = exact_haar_model(12, k=k, coeffs=np.full(k, 0.5))
+        record = m.env_dim * 16
+        live_block = 2.5 * dc._block_trials(m) * k * record + record
+        outputs = 300 * 8 * (k * (k - 1) // 2 + 1)
+        assert (self.traced_peak(m, 300)
+                <= outputs + _workers._MAX_WORKERS * live_block)
 
     def test_memory_of_many_pointers_is_blocked(self):
         # at n=1, k=100 the records are small, but each trial's Gram, rho

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
@@ -310,7 +311,10 @@ class TestVerify:
             max_pairwise, ok = verify(fam)
             assert max_pairwise == 0.0
             assert ok
-            assert fam.max_pairwise == 0.0
+            # verify reports; the family is a value and stays as built
+            assert fam.max_pairwise is None
+            with pytest.raises(FrozenInstanceError):
+                fam.max_pairwise = max_pairwise
 
     def test_duplicate_vector_fails(self):
         v = basis_state(8, 2).amplitudes

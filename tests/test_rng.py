@@ -58,9 +58,12 @@ def test_invalid_arguments():
 
 # seeds of 1, 2, 4 and 5 entropy words
 KEY_SEEDS = [0, 7, 2 ** 40 + 3, 2 ** 127 + 99, 2 ** 128 + 1]
-# (stream_index, path) prefixes, one of them of several words
+# (stream_index, path) prefixes: some with a part of several words, so
+# that the key's word count differs from its number of parts, and a long
+# path
 KEY_PREFIXES = [(0, ()), (3, ()), (0, (5,)), (2, (2 ** 31, 7)),
-                (2 ** 32, (1, 0))]
+                (2 ** 32, (1, 0)), (0, (2 ** 64, 1, 2, 3, 4)),
+                (2 ** 70, (0, 2 ** 33))]
 
 
 def numpy_state(seed, key):
