@@ -34,7 +34,7 @@ import numpy as np
 
 from . import limits
 from ._workers import _in_workers
-from .rng import RngStream, _Rekeyed
+from .rng import RngStream
 from .states import (StateVector, _apply_gate, _check_unit_rows,
                      _check_unitary, _haar_rows, _haar_unitaries, _unit_rows,
                      basis_state)
@@ -69,7 +69,7 @@ _CONFIG_REQUIRED = ("pointer_count", "coefficients", "env_qubits", "dynamics")
 _CONFIG_OPTIONAL = ("depth", "thetas", "env_initial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Pointer amplitudes plus the conditional environment dynamics.
 
@@ -135,11 +135,15 @@ class MeasurementModel:
         elif self.thetas is not None:
             raise ValueError("thetas only apply to integrable-product dynamics")
 
-        if self.env_initial is not None and not (
-                isinstance(self.env_initial, StateVector)
-                and self.env_initial.dim == self.env_dim):
-            raise ValueError(f"env_initial must be a StateVector of dim "
-                             f"2**{self.env_qubits}, got {self.env_initial!r}")
+        if self.env_initial is not None:
+            if not (isinstance(self.env_initial, StateVector)
+                    and self.env_initial.dim == self.env_dim):
+                raise ValueError(f"env_initial must be a StateVector of dim "
+                                 f"2**{self.env_qubits}, got "
+                                 f"{self.env_initial!r}")
+            # exact-haar records are drawn without reading it
+            if self.dynamics == "exact-haar":
+                raise ValueError("env_initial only applies to circuit dynamics")
 
     @property
     def env_dim(self) -> int:
@@ -338,20 +342,18 @@ def _records(model: MeasurementModel, streams, trials: int) -> np.ndarray:
 def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
     """Evolve the initial environment state once per pointer value.
 
-    Pointer value i draws from ``rng.substream(i)``, which is built here
-    and handed to the record kernel, so branch sets are reproducible from
-    (model, seed, stream_index) alone and independent of evaluation order.
-    The records are one trial of the kernel that ``suppression_experiment``
-    runs by the block (see ``_records`` for how each dynamics draws them),
-    checked once as the rows of the ``BranchSet``.
+    Pointer value i draws what ``rng.substream(i)`` draws; the k streams
+    are keyed here as one block (``RngStream._descendants``) and handed to
+    the record kernel, so branch sets are reproducible from the model and
+    ``rng.address`` alone, which ``generation_record`` carries, and
+    independent of evaluation order. The records are one trial of the
+    kernel that ``suppression_experiment`` runs by the block (see
+    ``_records`` for how each dynamics draws them), checked once as the
+    rows of the ``BranchSet``.
     """
-    record = {
-        "dynamics": model.dynamics,
-        "seed": rng.seed,
-        "stream_index": rng.stream_index,
-        "depth_or_time": model.depth,
-    }
-    streams = (rng.substream(i) for i in range(model.pointer_count))
+    record = {"dynamics": model.dynamics, **_address_keys(rng.address),
+              "depth_or_time": model.depth}
+    streams = rng._descendants(np.arange(model.pointer_count)[:, None])
     return BranchSet(rows=_records(model, streams, 1)[0],
                      generation_record=record)
 
@@ -368,7 +370,7 @@ def gram_matrix(branches: BranchSet) -> np.ndarray:
     return rows.conj() @ rows.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedDensityMatrix:
     """k x k system state; Hermitian, unit trace, PSD within tolerance.
 
@@ -443,7 +445,7 @@ def typicality_ratio(branches: BranchSet, d_eff: float) -> float:
     return float(np.mean(np.abs(gram[np.triu_indices(k, 1)]) ** 2)) * d_eff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuppressionResult:
     """Per-trial overlap and coherence data plus the predicted scales.
 
@@ -455,7 +457,7 @@ class SuppressionResult:
     trials: int
     pair_overlaps: np.ndarray    # (trials, n_pairs)
     max_coherences: np.ndarray   # (trials,)
-    seed_record: tuple[int, int]
+    seed_record: tuple[int, ...]  # RngStream.address
     d_eff: int = field(init=False)
 
     def __post_init__(self):
@@ -524,9 +526,18 @@ class SuppressionResult:
             "amplitude_scale": self.amplitude_scale,
             "typicality_ratio": self.typicality,
             "atypical": self.atypical,
-            "seed": self.seed_record[0],
-            "stream_index": self.seed_record[1],
+            **_address_keys(self.seed_record),
         }
+
+
+def _address_keys(address: tuple[int, ...]) -> dict:
+    """An ``RngStream.address`` as record keys: ``seed`` and
+    ``stream_index``, and ``stream_path`` only for a substream."""
+    seed, stream_index, *path = address
+    keys = {"seed": seed, "stream_index": stream_index}
+    if path:
+        keys["stream_path"] = path
+    return keys
 
 
 def _block_statistics(c: np.ndarray, recs: np.ndarray, pairs: np.ndarray,
@@ -559,13 +570,15 @@ def suppression_experiment(model: MeasurementModel, trials: int,
                            rng: RngStream) -> SuppressionResult:
     """Regenerate branches per trial and collect overlap/coherence stats.
 
-    Trial t draws from ``rng.substream(t)``, so the result does not depend
-    on execution order. The streams are keyed here: each worker keys a
-    claimed block's record streams at once (``_child_states``) and hands
-    ``_records`` its one generator, re-keyed per record. Blocks of bounded
-    memory run on up to ``_workers._MAX_WORKERS`` threads, never more than
-    the CPUs the process may use, with numpy's BLAS held to one thread
-    while more than one runs (``_workers._in_workers``). A block's arrays
+    Trial t's pointer value i draws what ``rng.substream(t).substream(i)``
+    draws, so the result does not depend on execution order. The streams
+    are keyed here: each worker keys a claimed block's record streams at
+    once (``RngStream._descendants``, one generator per block) and hands
+    them to ``_records``. The result's ``seed_record`` is
+    ``rng.address``. Blocks of bounded memory run on up to
+    ``_workers._MAX_WORKERS`` threads, never more than the CPUs the process
+    may use, with numpy's BLAS held to one thread while more than one runs
+    (``_workers._in_workers``). A block's arrays
     are numpy temporaries that die with the block, and each worker writes
     disjoint output rows, so the output bytes do not depend on the worker
     count. Integrable trials draw nothing, so their records and statistics
@@ -596,13 +609,12 @@ def suppression_experiment(model: MeasurementModel, trials: int,
 
         def work(claims):
             """Key, draw, check and reduce the claimed blocks."""
-            keyed = _Rekeyed()
             for t0 in claims:
                 t1 = min(t0 + step, trials)
                 # row (t, i) keys trial t's pointer value i, trial-major
-                states = rng._child_states(np.column_stack(
+                streams = rng._descendants(np.column_stack(
                     np.divmod(np.arange(t0 * k, t1 * k), k)))
-                block = _records(model, (keyed.at(s) for s in states), t1 - t0)
+                block = _records(model, streams, t1 - t0)
                 _check_unit_rows(block)
                 _block_statistics(c, block, pair_overlaps[t0:t1],
                                   max_coherences[t0:t1])
@@ -611,7 +623,7 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     return SuppressionResult(
         model=model, trials=trials,
         pair_overlaps=pair_overlaps, max_coherences=max_coherences,
-        seed_record=(rng.seed, rng.stream_index),
+        seed_record=rng.address,
     )
 
 

@@ -38,7 +38,7 @@ _JSON_TYPES = {bool: "boolean", str: "string", list: "array", dict: "object",
                type(None): "null"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Sorted, finite eigenvalue list of an environment Hamiltonian.
 

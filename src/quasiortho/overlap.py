@@ -174,7 +174,7 @@ class TestReport:
         object.__setattr__(self, "passed", statistic <= threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalSample:
     """Sorted squared-overlap draws plus the seed record that made them.
 
@@ -183,7 +183,7 @@ class EmpiricalSample:
 
     dim: int
     values: np.ndarray
-    seed_record: tuple[int, int]
+    seed_record: tuple[int, ...]  # RngStream.address
 
     def __post_init__(self):
         object.__setattr__(self, "dim", integer("dim", self.dim, 2))
@@ -207,8 +207,8 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     By unitary invariance this matches the overlap law of independently
     drawn pairs while costing one state per sample. Each sample consumes
     2d real normals in the same order as :func:`quasiortho.states.haar_state`,
-    so the values depend only on ``(seed, stream_index)`` and not on the
-    internal chunking.
+    so the values depend only on ``rng.address`` and not on the internal
+    chunking.
     """
     d = integer("d", d, 2)
     n_samples = integer("n_samples", n_samples, 1)
@@ -231,7 +231,7 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
         done += rows
     out.sort()
     return EmpiricalSample(dim=d, values=out,
-                           seed_record=(rng.seed, rng.stream_index))
+                           seed_record=rng.address)
 
 
 def ks_critical_value(alpha: float) -> float:

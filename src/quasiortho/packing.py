@@ -19,7 +19,7 @@ import numpy as np
 from . import limits
 from ._workers import _in_workers
 from .overlap import TestReport
-from .rng import RngStream, _Rekeyed
+from .rng import RngStream
 from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _gram_blocks,
                      _haar_rows, _unit_rows)
 from .validate import integer, real
@@ -129,7 +129,7 @@ def union_bound_failure(d: int, eps: float, m: int) -> float:
     return math.exp(log_p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiOrthogonalFamily:
     """Unit vectors, the rows of one read-only ``(size, dim)`` matrix,
     with a certified maximum pairwise squared overlap.
@@ -322,17 +322,17 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     """Check that random coding succeeds at least as often as the union
     bound guarantees.
 
-    Trial t is one construction drawn from ``rng.substream(t)``. The
-    trials run on the worker threads that ``suppression_experiment``
-    uses (``_workers._in_workers``): up to two, never more than the CPUs
-    the process may use, with numpy's BLAS held to one thread while more
-    than one runs. Each worker claims ``_RATE_BLOCK`` trials at a time,
-    keys their streams at once (``RngStream._child_states``), draws them
-    through its one reused generator and counts its own failures; the
-    counts are summed after the join, so the report does not depend on
-    the worker count and memory does not grow with ``trials``. The report
-    statistic is the empirical failure fraction and the threshold is the
-    union bound plus three binomial standard errors.
+    Trial t is one construction that draws what ``rng.substream(t)``
+    draws. The trials run on the worker threads that
+    ``suppression_experiment`` uses (``_workers._in_workers``): up to two,
+    never more than the CPUs the process may use, with numpy's BLAS held
+    to one thread while more than one runs. Each worker claims
+    ``_RATE_BLOCK`` trials at a time, keys their streams at once
+    (``RngStream._descendants``, one generator per block) and counts its
+    own failures; the counts are summed after the join, so the report
+    does not depend on the worker count and memory does not grow with
+    ``trials``. The report statistic is the empirical failure fraction and
+    the threshold is the union bound plus three binomial standard errors.
     """
     trials = integer("trials", trials, 30)
     d = integer("d", d, 1)
@@ -346,11 +346,11 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
 
     def work(claims):
         """Build and certify the claimed trials; append the failures."""
-        keyed, failed = _Rekeyed(), 0
+        failed = 0
         for t0 in claims:
             tails = np.arange(t0, min(t0 + _RATE_BLOCK, trials))[:, None]
-            for state in rng._child_states(tails):
-                mat = _haar_rows(d, m, keyed.at(state))
+            for stream in rng._descendants(tails):
+                mat = _haar_rows(d, m, stream)
                 max_pairwise, _ = _pairwise_stats(mat, eps)
                 failed += max_pairwise > eps
         counts.append(failed)

@@ -1,13 +1,15 @@
 """Seeded random streams with independent, addressable substreams.
 
 numpy's ``SeedSequence`` keys every stream and runs every scalar hash;
-only the trial loops' block keying (``RngStream._child_states``) runs
-that hash here, vectorized over a block of keys, to numpy's bits.
+only the block keying of descendant streams (``RngStream._child_states``,
+behind ``RngStream._descendants``) runs that hash here, vectorized over
+a block of keys, to numpy's bits.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 
 import numpy as np
 # numpy 2 loads its random subpackage on first use; load it with this
@@ -71,10 +73,8 @@ class RngStream:
     keys. :meth:`substream` extends the spawn key, so trial-parallel
     drivers can hand one independent stream to each trial without
     coordinating draw counts; results are then independent of how trials
-    are scheduled. The trial loops key a block of descendants at once,
-    numpy hashing the shared key (``_key_pool``) and this module the
-    tails (``_child_states``), and draw each through one generator per
-    worker (``_Rekeyed``), bit-identical to ``substream``.
+    are scheduled. Library code keys descendants a block at a time
+    through :meth:`_descendants`, bit-identical to ``substream``.
 
     The stream is the only stateful object in the library: draws advance
     the underlying generator. Share streams across threads only via
@@ -96,6 +96,12 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Underlying numpy generator (stateful; draws advance it)."""
         return self._generator
+
+    @property
+    def address(self) -> tuple[int, ...]:
+        """``(seed, stream_index, *path)``: the whole name of the stream,
+        from which it is rebuilt draw for draw."""
+        return (self.seed, self.stream_index, *self._path)
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream, deterministic in (self, index)."""
@@ -166,30 +172,25 @@ class RngStream:
         return [_pcg64_state((s0 << 64) | s1, (i0 << 64) | i1)
                 for s0, s1, i0, i1 in halves.tolist()]
 
+    def _descendants(self, tails):
+        """Streams of a block of descendants, one per row of the ``(K, L)``
+        integer block ``tails``: row ``(a, b, ...)`` yields a stream whose
+        ``generator`` draws exactly what ``self.substream(a).substream(b)...``
+        draws. The block is keyed at once (``_child_states``), and the
+        call's one generator is set to each row's PCG64 state as its stream
+        is taken, so a stream is good until the next one is taken.
+        """
+        states = self._child_states(tails)
+        stream = types.SimpleNamespace(
+            generator=np.random.Generator(np.random.PCG64(0)))
+        bits = stream.generator.bit_generator
+        for s, inc in states:
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": s, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield stream
+
     def __repr__(self) -> str:
         path = "".join(f"/{p}" for p in self._path)
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index}{path})"
 
-
-class _Rekeyed:
-    """One generator that stands in for descendant streams in turn.
-
-    ``at(state)`` sets its PCG64 to a ``(state, inc)`` from
-    ``RngStream._child_states`` and returns it; its ``generator`` then
-    draws exactly what that descendant's would, since a fresh PCG64
-    holds no buffered word and a ``Generator`` keeps no state of its own.
-    It is passed wherever a stream is read for its ``generator``. Each
-    worker keeps its own.
-    """
-
-    __slots__ = ("generator",)
-
-    def __init__(self):
-        self.generator = np.random.Generator(np.random.PCG64(0))
-
-    def at(self, state: tuple[int, int]) -> "_Rekeyed":
-        s, inc = state
-        self.generator.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": s, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-        return self

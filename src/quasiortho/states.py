@@ -57,7 +57,7 @@ _BLOCK_ROW_ALIGN = 16
 _CHECK_SLICE_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit vector in a d-dimensional complex Hilbert space.
 
@@ -84,7 +84,7 @@ class StateVector:
         return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unitary:
     """d x d unitary matrix, validated entrywise to ``UNITARY_ATOL``.
 

@@ -347,10 +347,13 @@ class TestDecohere:
          "theta"),
         ({"pointer_count": 2, "coefficients": [0.8, [10 ** 400, 0]],
           "env_qubits": 4, "dynamics": "exact-haar"}, "coefficients"),
+        ({"pointer_count": 2, "coefficients": [0.8, 0.6], "env_qubits": 2,
+          "dynamics": "exact-haar", "env_initial": [0.6, 0, 0, [0, 0.8]]},
+         "env_initial"),
     ], ids=["missing-key", "array", "scalar-thetas", "scalar-coefficients",
             "null-count", "object-coefficient", "unknown-key", "string-count",
             "boolean-env-qubits", "string-coefficient", "huge-theta",
-            "huge-coefficient"])
+            "huge-coefficient", "exact-haar-env-initial"])
     def test_malformed_config_is_usage_error(self, config, key, capsys,
                                              tmp_path):
         # exit 1 means a failed statistical test, so a bad config must

@@ -370,6 +370,15 @@ class TestGenerateBranches:
         assert rec["seed"] == 9
         assert rec["stream_index"] == 4
 
+    def test_record_names_a_substream_apart_from_its_root(self):
+        m = exact_haar_model(3)
+        root = generate_branches(m, RngStream(81))
+        sub = generate_branches(m, RngStream(81).substream(3))
+        assert root.rows.tobytes() != sub.rows.tobytes()
+        assert "stream_path" not in root.generation_record
+        assert sub.generation_record["stream_path"] == [3]
+        assert root.generation_record != sub.generation_record
+
 
 class TestBranchSet:
     def test_rows_and_branches_give_the_same_set(self):
@@ -588,6 +597,17 @@ class TestSuppressionExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             suppression_experiment(exact_haar_model(3), 10, RngStream(0))
+
+    def test_seed_record_names_a_substream_apart_from_its_root(self):
+        m = exact_haar_model(3)
+        root = suppression_experiment(m, 30, RngStream(5))
+        sub = suppression_experiment(m, 30, RngStream(5).substream(1))
+        assert root.pair_overlaps.tobytes() != sub.pair_overlaps.tobytes()
+        assert (root.seed_record, sub.seed_record) == ((5, 0), (5, 0, 1))
+        # a root's summary keeps its keys, so CLI output is unchanged
+        assert "stream_path" not in root.summary()
+        assert sub.summary()["stream_path"] == [1]
+        assert root.summary() != sub.summary()
 
     @pytest.mark.parametrize("model", [
         MeasurementModel(pointer_count=3, coefficients=np.array([0.6, 0.64j, 0.48]),

@@ -197,6 +197,12 @@ class TestSampleOverlaps:
         assert np.all(np.diff(s.values) >= 0)
         assert s.values[0] >= 0.0 and s.values[-1] <= 1.0
 
+    def test_seed_record_names_a_substream_apart_from_its_root(self):
+        root = sample_overlaps(16, 50, RngStream(5))
+        sub = sample_overlaps(16, 50, RngStream(5).substream(2))
+        assert root.values.tobytes() != sub.values.tobytes()
+        assert (root.seed_record, sub.seed_record) == ((5, 0), (5, 0, 2))
+
     def test_matches_haar_state_loop(self):
         # same stream, same draw layout: the vectorized sampler must
         # reproduce a plain haar_state loop value for value

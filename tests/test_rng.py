@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quasiortho import RngStream
-from quasiortho.rng import _Rekeyed
 
 
 def test_identical_streams_are_bit_identical():
@@ -112,13 +111,58 @@ def test_block_keys_refuse_a_negative_index():
         RngStream(0)._child_states([[1], [-1]])
 
 
-def test_a_rekeyed_generator_draws_as_its_substream():
+# ------------------------------------------ keyed streams: _descendants
+
+def draw_as(got, want):
+    """Three int32 draws leave half a 64-bit word buffered, which must not
+    leak into the next stream's draws; then normals."""
+    for draw in (lambda g: g.integers(0, 2 ** 31, size=3, dtype=np.int32),
+                 lambda g: g.standard_normal(300)):
+        assert draw(got.generator).tobytes() == draw(want.generator).tobytes()
+
+
+def test_descendants_draw_as_their_substreams():
     rng = RngStream(2 ** 128 + 1, 2)
-    keyed = _Rekeyed()
-    for t, state in enumerate(rng._child_states([[t] for t in range(5)])):
-        # three int32 draws leave half a 64-bit word buffered, which
-        # must not leak into the next child's draws
-        got, want = keyed.at(state).generator, rng.substream(t).generator
-        for draw in (lambda g: g.integers(0, 2 ** 31, size=3, dtype=np.int32),
-                     lambda g: g.standard_normal(300)):
-            assert draw(got).tobytes() == draw(want).tobytes()
+    streams = rng._descendants(np.arange(5)[:, None])
+    for t, stream in enumerate(streams):
+        draw_as(stream, rng.substream(t))
+    assert t == 4
+
+
+def test_descendants_of_two_column_tails_draw_as_nested_substreams():
+    rng = RngStream(7, 1, (3,))
+    # rows (t, i), trial-major, as the decohere workers key them
+    tails = np.column_stack(np.divmod(np.arange(2 * 3, 5 * 3), 3))
+    taken = 0
+    for (t, i), stream in zip(tails.tolist(), rng._descendants(tails)):
+        draw_as(stream, rng.substream(t).substream(i))
+        taken += 1
+    assert taken == len(tails) == 9
+
+
+def test_descendants_of_a_multiword_row_fall_back_and_draw_as_substreams():
+    rng = RngStream(11, 1, (4,))
+    tails = [(0, 1), (0, 2 ** 32 + 5), (2 ** 64, 3)]
+    for (a, b), stream in zip(tails, rng._descendants(tails)):
+        draw_as(stream, rng.substream(a).substream(b))
+
+
+def test_interleaved_descendants_each_draw_as_their_substreams():
+    # two workers each hold one iterator; taking from one must not move
+    # the other's generator
+    rng = RngStream(5, 3)
+    first = rng._descendants(np.arange(0, 4)[:, None])
+    second = rng._descendants(np.arange(4, 8)[:, None])
+    for t, (a, b) in enumerate(zip(first, second)):
+        assert a.generator is not b.generator
+        draw_as(a, rng.substream(t))
+        draw_as(b, rng.substream(t + 4))
+    assert t == 3
+
+
+def test_address_names_the_whole_stream():
+    assert RngStream(81).address == (81, 0)
+    assert RngStream(81, 2).substream(3).substream(0).address == (81, 2, 3, 0)
+    sub = RngStream(81).substream(3)
+    assert RngStream(*sub.address[:2], sub.address[2:]).generator.random() \
+        == sub.generator.random()

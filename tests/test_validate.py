@@ -297,6 +297,19 @@ ARRAY_FIELDS = {
 
 
 @pytest.mark.parametrize("field", sorted(ARRAY_FIELDS))
+def test_holders_compare_by_identity(field):
+    # == on an array field would raise, so holders of arrays compare by
+    # identity and hash by it
+    make, valid = ARRAY_FIELDS[field]
+    holder, twin = make(np.asarray(valid)), make(np.asarray(valid))
+    assert holder == holder
+    assert not holder == twin
+    assert holder != twin
+    assert hash(holder) == hash(holder)
+    assert len({holder, twin, holder}) == 2
+
+
+@pytest.mark.parametrize("field", sorted(ARRAY_FIELDS))
 def test_array_fields_share_one_storage_rule(field):
     make, valid = ARRAY_FIELDS[field]
     attr = field.split(".")[1]
@@ -381,6 +394,9 @@ def test_suppression_result_stores_trials_as_int():
     ("env_initial", {"dynamics": "exact-haar", "env_initial": [1, 0, 0, 0]}),
     ("thetas", {"dynamics": "integrable-product", "thetas": 0.3}),
     ("thetas", {"dynamics": "integrable-product", "thetas": "ab"}),
+    # well typed, but exact-haar records are drawn without reading it
+    ("env_initial", {"dynamics": "exact-haar",
+                     "env_initial": sv.StateVector([0.6, 0, 0, 0.8])}),
 ])
 def test_model_field_of_the_wrong_type_is_named(field, kwargs):
     with pytest.raises(ValueError, match=field):
