@@ -136,9 +136,10 @@ def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:
 
 
 def cmd_overlap_dist(args) -> int:
-    integer("--bins", args.bins, 1)
-    # checked before the draw, which would otherwise run to completion
-    integer("--trials", args.trials, ov.KS_MIN_SAMPLES)
+    # checked before the draw, which would otherwise run to completion;
+    # a bin more than there are samples would hold no information
+    trials = integer("--trials", args.trials, ov.KS_MIN_SAMPLES)
+    integer("--bins", args.bins, 1, trials)
     ov.ks_critical_value(args.alpha)
     seed = _resolve_seed(args)
     sample = ov.sample_overlaps(args.d, args.trials, RngStream(seed))
@@ -154,13 +155,13 @@ def cmd_overlap_dist(args) -> int:
 
     columns = ["bin_left", "bin_right", "count", "empirical_density",
                "empirical_cdf", "analytic_pdf", "analytic_cdf"]
-    rows = [
+    rows = (
         [float(edges[b]), float(edges[b + 1]), int(counts[b]),
          float(emp_density[b]), float(emp_cdf[b]),
          float(ov.pdf(args.d, min(mids[b], 1.0))),
          float(ov.cdf(args.d, min(edges[b + 1], 1.0)))]
         for b in range(args.bins)
-    ]
+    )
     summary = {
         "d": args.d,
         "n_samples": sample.count,

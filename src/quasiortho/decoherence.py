@@ -38,7 +38,7 @@ from .rng import RngStream
 from .states import (StateVector, _apply_gate, _check_unit_rows,
                      _check_unitary, _haar_rows, _haar_unitaries, _unit_rows,
                      basis_state)
-from .validate import frozen_array, integer, real
+from .validate import address, frozen_array, integer, real
 
 __all__ = [
     "DYNAMICS",
@@ -450,7 +450,8 @@ class SuppressionResult:
     """Per-trial overlap and coherence data plus the predicted scales.
 
     ``pair_overlaps`` and ``max_coherences`` are stored by
-    ``frozen_array``, one row per trial.
+    ``frozen_array``, one row per trial, and ``seed_record`` by
+    ``validate.address``.
     """
 
     model: MeasurementModel
@@ -468,6 +469,8 @@ class SuppressionResult:
         # two trials at least, for the ddof=1 variances
         trials = integer("trials", self.trials, 2)
         object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed_record",
+                           address("seed_record", self.seed_record))
         object.__setattr__(self, "d_eff", self.model.env_dim)
         for name, shape in (("pair_overlaps", (trials, k * (k - 1) // 2)),
                             ("max_coherences", (trials,))):

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import limits
+from ._workers import _in_workers
 from .rng import RngStream
 from .states import complex_gaussians
-from .validate import frozen_array, integer, real
+from .validate import address, frozen_array, integer, real
 
 __all__ = [
     "OverlapDistribution",
@@ -42,8 +43,10 @@ __all__ = [
 
 # Minimum sample size for the asymptotic Kolmogorov critical value.
 KS_MIN_SAMPLES = 100
-# Complex entries per draw of sample_overlaps (2 MB, about an L2 cache),
-# so the sampler holds O(n_samples + d) memory whatever the sample size.
+# Complex entries per block of sample_overlaps (2 MB, about an L2 cache),
+# so each worker holds O(d) memory beyond the output whatever the sample
+# size. It fixes which samples a block's stream draws: changing it
+# changes every sample_overlaps value, and so every overlap-dist output.
 _SAMPLE_CHUNK_ENTRIES = 1 << 17
 
 
@@ -178,7 +181,8 @@ class TestReport:
 class EmpiricalSample:
     """Sorted squared-overlap draws plus the seed record that made them.
 
-    ``values`` is stored by ``frozen_array``.
+    ``values`` is stored by ``frozen_array`` and ``seed_record`` by
+    ``validate.address``.
     """
 
     dim: int
@@ -187,6 +191,8 @@ class EmpiricalSample:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", integer("dim", self.dim, 2))
+        object.__setattr__(self, "seed_record",
+                           address("seed_record", self.seed_record))
         vals = frozen_array("values", self.values, np.float64, 1)
         # a NaN fails every comparison, so it cannot pass either check;
         # once sorted, the end points bound all values
@@ -205,30 +211,41 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     """Draw squared overlaps of Haar states against the fixed basis state e_1.
 
     By unitary invariance this matches the overlap law of independently
-    drawn pairs while costing one state per sample. Each sample consumes
-    2d real normals in the same order as :func:`quasiortho.states.haar_state`,
-    so the values depend only on ``rng.address`` and not on the internal
-    chunking.
+    drawn pairs while costing one state per sample. The samples are drawn
+    in blocks of ``R = max(1, _SAMPLE_CHUNK_ENTRIES // d)``: block ``b``
+    holds samples ``[b R, min((b + 1) R, n_samples))`` and draws their
+    2d real normals each, in the order of
+    :func:`quasiortho.states.haar_state`, from what ``rng.substream(b)``
+    draws. Each worker keys a claimed block's stream
+    (``RngStream._descendants``) and writes its own slice of the output;
+    blocks run on up to ``_workers._MAX_WORKERS`` threads, never more than
+    the CPUs the process may use (``_workers._in_workers``), and the sort
+    follows the join. The values therefore depend only on ``d``,
+    ``n_samples`` and ``rng.address``, not on the worker count.
     """
     d = integer("d", d, 2)
     n_samples = integer("n_samples", n_samples, 1)
-    # draws are chunked, but a chunk holds at least one d-entry state
+    # a block holds at least one d-entry state
     limits.check_state_dim(d)
     limits.check_sample_count(n_samples)
-    chunk_rows = max(1, _SAMPLE_CHUNK_ENTRIES // d)
+    rows = max(1, _SAMPLE_CHUNK_ENTRIES // d)
     out = np.empty(n_samples, dtype=float)
-    done = 0
-    while done < n_samples:
-        rows = min(chunk_rows, n_samples - done)
-        # squared real and imaginary parts, in place on the real view of
-        # the draw; the common 1/2 scale of the Gaussians cancels
-        x = complex_gaussians(rng, (rows, d)).view(np.float64)
-        np.square(x, out=x)
-        # a row sum over the contiguous axis gives each row the same bits
-        # in any chunk; einsum("ij,ij->i") does not, as it sums a lone row
-        # in 8192-entry pieces once 2d exceeds that
-        out[done:done + rows] = (x[:, 0] + x[:, 1]) / x.sum(axis=1)
-        done += rows
+
+    def work(claims):
+        """Key, draw and reduce the claimed blocks."""
+        for lo in claims:
+            hi = min(lo + rows, n_samples)
+            stream = next(rng._descendants([[lo // rows]]))
+            # squared real and imaginary parts, in place on the real view
+            # of the draw; the common 1/2 scale of the Gaussians cancels
+            x = complex_gaussians(stream, (hi - lo, d)).view(np.float64)
+            np.square(x, out=x)
+            # a row sum over the contiguous axis gives each row the same
+            # bits in any block; einsum("ij,ij->i") does not, as it sums a
+            # lone row in 8192-entry pieces once 2d exceeds that
+            out[lo:hi] = (x[:, 0] + x[:, 1]) / x.sum(axis=1)
+
+    _in_workers(work, range(0, n_samples, rows))
     out.sort()
     return EmpiricalSample(dim=d, values=out,
                            seed_record=rng.address)

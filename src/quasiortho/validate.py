@@ -15,7 +15,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["integer", "real", "frozen_array"]
+__all__ = ["integer", "real", "frozen_array", "address"]
 
 # Types that float() or operator.index() accept but that are not numbers;
 # a JSON config can carry "3" or true where a number belongs.
@@ -45,6 +45,17 @@ def integer(name: str, value, lo: int, hi: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer {bounds}, got "
                          f"{_shown_int(value, out)}")
     return out
+
+
+def address(name: str, value) -> tuple[int, ...]:
+    """A stream name ``(seed, stream_index, *path)`` as
+    ``RngStream.address`` gives it: a tuple or list of at least two
+    integers >= 0, returned as a tuple of what ``integer`` returns for
+    each, so a 128-bit seed stays exact."""
+    if not (isinstance(value, (tuple, list)) and len(value) >= 2):
+        raise ValueError(f"{name} must be a tuple of at least two integers "
+                         f">= 0, got {value!r}")
+    return tuple(integer(f"{name} entry", v, 0) for v in value)
 
 
 def _shown_int(value, out: int) -> str:

@@ -12,6 +12,7 @@ import pytest
 
 import quasiortho.cli
 import quasiortho.limits
+import quasiortho.overlap
 import quasiortho.states
 from quasiortho import RngStream, greedy_construct, wilson_interval
 from quasiortho.cli import _fmt_cell, main
@@ -69,6 +70,22 @@ class TestOverlapDist:
         assert main(["overlap-dist", "--d", "1024", "--seed", "1",
                      "--no-timestamp"] + flag) == 2
         assert calls == []
+
+    def test_bins_above_trials_is_usage_error_before_drawing(
+            self, monkeypatch, capsys):
+        draws = []
+        real = quasiortho.overlap.complex_gaussians
+        monkeypatch.setattr(quasiortho.overlap, "complex_gaussians",
+                            lambda *a: draws.append(a) or real(*a))
+        argv = ["overlap-dist", "--d", "2", "--trials", "100", "--seed", "1",
+                "--format", "json", "--no-timestamp", "--bins"]
+        for bins in ("101", "1000000000000"):
+            assert main(argv + [bins]) == 2
+        assert draws == []
+        capsys.readouterr()
+        code, out = run_cli(argv + ["100"], capsys)
+        assert code in (0, 1) and draws
+        assert len(json.loads(out)["rows"]) == 100
 
     def test_unseeded_run_records_drawn_seed(self, capsys):
         code, out = run_cli(["overlap-dist", "--d", "16", "--trials", "200",

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.stats import ks_2samp, norm
 
 import quasiortho.limits
 import quasiortho.overlap
+from quasiortho import _workers
 from quasiortho import (
     EmpiricalSample,
     OverlapDistribution,
@@ -203,14 +206,20 @@ class TestSampleOverlaps:
         assert root.values.tobytes() != sub.values.tobytes()
         assert (root.seed_record, sub.seed_record) == ((5, 0), (5, 0, 2))
 
-    def test_matches_haar_state_loop(self):
-        # same stream, same draw layout: the vectorized sampler must
-        # reproduce a plain haar_state loop value for value
-        d, n = 24, 100
+    def test_matches_haar_state_loop(self, monkeypatch):
+        # same block streams, same draw layout: the vectorized sampler
+        # must reproduce a plain haar_state loop over each block's stream
+        # value for value; 7 rows a block split 100 into 15 blocks, the
+        # last of 2 rows
+        monkeypatch.setattr(quasiortho.overlap, "_SAMPLE_CHUNK_ENTRIES",
+                            24 * 7)
+        d, n, rows = 24, 100, 7
         sample = sample_overlaps(d, n, RngStream(9, 4))
-        rng = RngStream(9, 4)
         e1 = basis_state(d, 0)
-        loop = np.sort([overlap_sq(haar_state(d, rng), e1) for _ in range(n)])
+        loop = np.sort([overlap_sq(haar_state(d, stream), e1)
+                        for stream, count in self.blocks(n, rows,
+                                                         RngStream(9, 4))
+                        for _ in range(count)])
         assert np.allclose(sample.values, loop, atol=1e-14)
 
     def test_mean_at_d2(self):
@@ -247,15 +256,26 @@ class TestSampleOverlaps:
         np.square(x, out=x)
         return np.sort((x[:, 0] + x[:, 1]) / x.sum(axis=1))
 
+    @staticmethod
+    def blocks(n, rows, rng):
+        """``(stream, rows)`` of each sampler block: block b draws its
+        rows from ``rng.substream(b)``."""
+        return [(rng.substream(b), min(rows, n - lo))
+                for b, lo in enumerate(range(0, n, rows))]
+
     @pytest.mark.parametrize("d, entries", [
-        (16, 16 * 5),    # 5 rows per chunk, 23 = 4 x 5 + 3
-        (16, 8),         # d above the constant: one row per chunk
+        (16, 16 * 5),    # 5 rows per block, 23 = 4 x 5 + 3
+        (16, 8),         # d above the constant: one row per block
         (3, 2),
         (5000, 5000 * 2),   # 23 = 11 x 2 + 1: a lone row with 2d > 8192
     ])
     def test_chunking_does_not_change_values(self, d, entries, monkeypatch):
+        # each block's rows are reduced as in one unchunked draw of them
         n = 23
-        want = self.unchunked(d, n, RngStream(31, d))
+        want = np.sort(np.concatenate([
+            self.unchunked(d, rows, stream)
+            for stream, rows in self.blocks(n, max(1, entries // d),
+                                            RngStream(31, d))]))
         monkeypatch.setattr(quasiortho.overlap, "_SAMPLE_CHUNK_ENTRIES",
                             entries)
         got = sample_overlaps(d, n, RngStream(31, d)).values
@@ -263,13 +283,42 @@ class TestSampleOverlaps:
 
     @pytest.mark.parametrize("d", [2, 3, 16, 1024])
     def test_matches_the_complex_formula(self, d):
-        # the reference is |g_0|^2 / sum |g|^2 on the complex draw; only
-        # the summation order differs, so a few float64 ulps separate them
+        # the reference is |g_0|^2 / sum |g|^2 on each block's complex
+        # draw; only the summation order differs, so a few float64 ulps
+        # separate them (d=1024 spans 16 blocks, the last of 80 rows)
         n = 2000
-        g = complex_gaussians(RngStream(32, d), (n, d))
+        rows = max(1, quasiortho.overlap._SAMPLE_CHUNK_ENTRIES // d)
+        g = np.concatenate([
+            complex_gaussians(stream, (count, d))
+            for stream, count in self.blocks(n, rows, RngStream(32, d))])
         ref = np.sort(np.abs(g[:, 0]) ** 2 / np.sum(np.abs(g) ** 2, axis=1))
         got = sample_overlaps(d, n, RngStream(32, d)).values
         assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_worker_count_does_not_change_values(self, monkeypatch):
+        # 128 rows a block at d=1024: 12 full blocks and one of 5 rows
+        d, n = 1024, 128 * 12 + 5
+        default = sample_overlaps(d, n, RngStream(34, 1)).values
+        threads = []
+        real = quasiortho.overlap.complex_gaussians
+
+        def draw(*args):
+            # the first block lingers so that a second worker claims one
+            if not threads:
+                time.sleep(0.05)
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(quasiortho.overlap, "complex_gaussians", draw)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
+        two = sample_overlaps(d, n, RngStream(34, 1)).values
+        assert len(threads) == 13 and len(set(threads)) == 2
+        monkeypatch.setattr(_workers, "_MAX_WORKERS", 1)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
+        threads.clear()
+        one = sample_overlaps(d, n, RngStream(34, 1)).values
+        assert set(threads) == {threading.get_ident()}
+        assert one.tobytes() == default.tobytes() == two.tobytes()
 
     def test_memory_is_chunked(self):
         tracemalloc.start()

@@ -390,6 +390,35 @@ def test_suppression_result_stores_trials_as_int():
     assert result.summary()["trials"] == 2
 
 
+# holder -> a maker of that holder on a given seed_record
+SEED_RECORD_HOLDERS = {
+    "EmpiricalSample": lambda r: ov.EmpiricalSample(4, np.array([0.1, 0.2]),
+                                                    r),
+    "SuppressionResult": lambda r: dc.SuppressionResult(
+        _MODEL, 2, np.zeros((2, 1)), np.zeros(2), r),
+}
+
+
+@pytest.mark.parametrize("holder", sorted(SEED_RECORD_HOLDERS))
+@pytest.mark.parametrize("record", ["ab", (7,), (1, -1), (True, 0), 7, None],
+                         ids=["string", "one-entry", "negative", "bool",
+                              "scalar", "none"])
+def test_seed_record_is_a_stream_address(holder, record):
+    with pytest.raises(ValueError, match="seed_record"):
+        SEED_RECORD_HOLDERS[holder](record)
+
+
+@pytest.mark.parametrize("holder", sorted(SEED_RECORD_HOLDERS))
+def test_seed_record_of_a_substream_is_stored_exactly(holder):
+    seed = 2 ** 128 + 1
+    rng = RngStream(seed, 3).substream(2).substream(0)
+    made = SEED_RECORD_HOLDERS[holder](list(rng.address))
+    assert made.seed_record == (seed, 3, 2, 0) == rng.address
+    assert type(made.seed_record) is tuple
+    made = SEED_RECORD_HOLDERS[holder]((np.uint64(5), np.int64(0)))
+    assert all(type(entry) is int for entry in made.seed_record)
+
+
 @pytest.mark.parametrize("field, kwargs", [
     ("env_initial", {"dynamics": "exact-haar", "env_initial": [1, 0, 0, 0]}),
     ("thetas", {"dynamics": "integrable-product", "thetas": 0.3}),
