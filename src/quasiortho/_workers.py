@@ -1,7 +1,8 @@
 """Worker threads for trial loops, with numpy's BLAS held to one thread.
 
 ``suppression_experiment`` and ``success_rate_experiment`` run their
-trials through ``_in_workers``. A trial's matrix products are already
+trials, and ``sample_overlaps`` its blocks of samples, through
+``_in_workers``. A trial's matrix products are already
 large enough for OpenBLAS to run them on its own helper threads, which
 then compete with the workers for the same CPUs, so while more than one
 worker runs, numpy's BLAS is held to one thread and its previous count

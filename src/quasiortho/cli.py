@@ -137,12 +137,13 @@ def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:
 
 def cmd_overlap_dist(args) -> int:
     # checked before the draw, which would otherwise run to completion;
-    # a bin more than there are samples would hold no information
+    # more bins than samples leave bins empty, and an unbounded count
+    # runs out of memory only after the whole draw
     trials = integer("--trials", args.trials, ov.KS_MIN_SAMPLES)
     integer("--bins", args.bins, 1, trials)
     ov.ks_critical_value(args.alpha)
     seed = _resolve_seed(args)
-    sample = ov.sample_overlaps(args.d, args.trials, RngStream(seed))
+    sample = ov.sample_overlaps(args.d, trials, RngStream(seed))
     report = ov.ks_test(sample, alpha=args.alpha)
 
     hi = max(float(sample.values[-1]), 1e-12)

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -318,7 +319,17 @@ class TestSampleOverlaps:
         threads.clear()
         one = sample_overlaps(d, n, RngStream(34, 1)).values
         assert set(threads) == {threading.get_ident()}
-        assert one.tobytes() == default.tobytes() == two.tobytes()
+        # more workers than cores, switching threads every microsecond
+        monkeypatch.setattr(_workers, "_MAX_WORKERS", 6)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            six = sample_overlaps(d, n, RngStream(34, 1)).values
+        finally:
+            sys.setswitchinterval(interval)
+        assert (one.tobytes() == default.tobytes() == two.tobytes()
+                == six.tobytes())
 
     def test_memory_is_chunked(self):
         tracemalloc.start()
