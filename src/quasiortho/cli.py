@@ -355,20 +355,14 @@ def cmd_decohere(args) -> int:
     return EXIT_PASS
 
 
-def _file_sha256(path) -> str:
-    """SHA-256 of a file's bytes, read in 1 MB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def cmd_deff(args) -> int:
     try:
-        spectrum = ed.Spectrum.from_file(args.spectrum)
+        # one read, so a pipe works and the hash is of the bytes parsed:
         # the spectrum's content, not its path, determines the output
-        spectrum_sha256 = _file_sha256(args.spectrum)
+        with open(args.spectrum, "rb") as fh:
+            data = fh.read()
+        spectrum_sha256 = hashlib.sha256(data).hexdigest()
+        spectrum = ed.Spectrum.from_text(data.decode("utf-8"))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot read spectrum: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

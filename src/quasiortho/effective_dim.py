@@ -63,18 +63,22 @@ class Spectrum:
 
     @classmethod
     def from_file(cls, path) -> "Spectrum":
-        """Read one float per line, or a single JSON array of numbers.
+        """Read a UTF-8 spectrum file and parse it with ``from_text``."""
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_text(fh.read())
+
+    @classmethod
+    def from_text(cls, text: str) -> "Spectrum":
+        """Parse one float per line, or a single JSON array of numbers.
 
         Blank lines are skipped; every other line must parse as Python's
-        ``float()`` parses it, or ``ValueError`` is raised. A JSON array
-        may hold only numbers (not booleans), or ``ValueError`` names the
-        first other item; an integer too large for a float reads as inf,
-        as it does in the line format, and fails the finiteness check.
+        ``float()`` parses it, or ``ValueError`` is raised; a line may end
+        in LF, CRLF or CR. A JSON array may hold only numbers (not
+        booleans), or ``ValueError`` names the first other item; an
+        integer too large for a float reads as inf, as it does in the
+        line format, and fails the finiteness check.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("["):
+        if text.lstrip().startswith("["):
             values = _json_energies(json.loads(text))
         else:
             values = _parse_lines(text)

@@ -50,6 +50,17 @@ KS_MIN_SAMPLES = 100
 _SAMPLE_CHUNK_ENTRIES = 1 << 17
 
 
+def _in_unit_interval(name: str, value) -> np.ndarray:
+    """``value``, a scalar or an array, as floats that all lie in [0, 1]."""
+    try:
+        xs = np.asarray(value, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        xs = None
+    if xs is None or not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return xs
+
+
 def pdf(d: int, x):
     """Density (d-1)(1-x)^(d-2) of the squared overlap at dimension d.
 
@@ -57,9 +68,7 @@ def pdf(d: int, x):
     exp(log(d-1) + (d-2) log1p(-x)) for numerical stability at large d.
     """
     d = integer("d", d, 2)
-    xs = np.asarray(x, dtype=float)
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError("x must lie in [0, 1]")
+    xs = _in_unit_interval("x", x)
     at_one = xs == 1.0
     safe = np.where(at_one, 0.0, xs)
     with np.errstate(divide="ignore"):
@@ -74,9 +83,7 @@ def pdf(d: int, x):
 def survival(d: int, eps):
     """Exact survival P(X >= eps) = (1-eps)^(d-1) for eps in [0, 1]."""
     d = integer("d", d, 2)
-    es = np.asarray(eps, dtype=float)
-    if not np.all((es >= 0.0) & (es <= 1.0)):
-        raise ValueError("eps must lie in [0, 1]")
+    es = _in_unit_interval("eps", eps)
     with np.errstate(divide="ignore"):
         out = np.exp((d - 1) * np.log1p(-es))
     return float(out) if np.isscalar(eps) or out.ndim == 0 else out

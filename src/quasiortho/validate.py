@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = ["integer", "real", "frozen_array", "address"]
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 # dtype kinds of numeric arrays: signed and unsigned int, float, complex.
 _NUMBER_KINDS = "iufc"
+# Largest integer magnitude accepted: numbers beyond it have no float.
+_FLOAT_MAX = sys.float_info.max
 
 
 def integer(name: str, value, lo: int, hi: int | None = None) -> int:
@@ -29,7 +32,8 @@ def integer(name: str, value, lo: int, hi: int | None = None) -> int:
 
     Python and numpy integers come back unchanged, with no float round
     trip (128-bit seeds stay exact). Floats are accepted only when they
-    are finite and integer-valued.
+    are finite and integer-valued, and integers only inside the float
+    range, as ``real`` accepts them.
     """
     if isinstance(value, _NOT_NUMBERS):
         raise _not_a_number(name, value)
@@ -43,6 +47,10 @@ def integer(name: str, value, lo: int, hi: int | None = None) -> int:
     if not (lo <= out and (hi is None or out <= hi)):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {bounds}, got "
+                         f"{_shown_int(value, out)}")
+    if not abs(out) <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be an integer inside the float range "
+                         f"(magnitude <= {_FLOAT_MAX:g}), got "
                          f"{_shown_int(value, out)}")
     return out
 

@@ -473,6 +473,24 @@ class TestDeff:
             hashes.append(prov["param_spectrum_sha256"])
         assert hashes[0] != hashes[1]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="reads the spectrum from /dev/stdin")
+    def test_piped_spectrum_gives_the_bytes_of_the_file_run(self, tmp_path):
+        # the spectrum is read once: a pipe has no second read to hash
+        data = b"0\r\n1\n1\n2\n"
+        spec = tmp_path / "levels.txt"
+        spec.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        runs = [subprocess.run([sys.executable, "-m", "quasiortho", "deff",
+                                "--spectrum", path, "--energy", "0",
+                                "--width", "2", "--no-timestamp"],
+                               input=data, capture_output=True, env=env)
+                for path in ("/dev/stdin", str(spec))]
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        sha = hashlib.sha256(data).hexdigest()
+        assert f"# param_spectrum_sha256={sha}\n".encode() in runs[0].stdout
+
     def test_missing_file_is_exit_3(self, capsys, tmp_path):
         code, _ = run_cli(["deff", "--spectrum", str(tmp_path / "nope.txt"),
                            "--energy", "0", "--width", "1"], capsys)
@@ -580,6 +598,21 @@ def test_flag_without_effect_is_usage_error_before_drawing(argv, monkeypatch,
     assert not family_csv.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["packing", "bound", "--d", str(10 ** 400), "--eps", "0.1"],
+    ["levy-check", "--d", str(10 ** 400), "--delta", "0.5"],
+    ["packing", "build", "--d", "16", "--eps", "0.5", "--M", "3",
+     "--trials", str(10 ** 400), "--seed", "1"],
+], ids=["packing-bound-d", "levy-check-d", "packing-build-trials"])
+def test_integer_beyond_the_float_range_is_usage_error(argv, capsys):
+    # not exit 1 with an OverflowError: exit 1 means a failed statistical test
+    assert main(argv + ["--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_unknown_flag_is_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "quasiortho.cli", "levy-check", "--bogus"],
@@ -610,6 +643,8 @@ def test_import_loads_no_heavy_scipy_module():
     loaded = proc.stdout.split()
     assert "quasiortho.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    # wilson_interval imports statistics when called, not with the CLI
+    assert "statistics" not in loaded
 
 
 def test_runs_without_scipy(tmp_path):

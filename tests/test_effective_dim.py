@@ -145,6 +145,8 @@ class TestSpectrum:
                             chars)
         got = Spectrum.from_file(path).energies
         assert got.tobytes() == want.tobytes()
+        # the raw text too, whose \r the text-mode read above translated
+        assert Spectrum.from_text(text).energies.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("chars", [1, 4, 1 << 18])
     def test_bad_line_in_any_slice_raises(self, chars, monkeypatch, tmp_path):
