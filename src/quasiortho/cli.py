@@ -209,24 +209,21 @@ def cmd_levy_check(args) -> int:
 def cmd_packing_bound(args) -> int:
     if (args.d is None) == (args.qubits is None):
         raise ValueError("give exactly one of --d or --qubits")
+    by_qubits = args.qubits is not None
+    # qubit_capacity_log checks the qubit count before 2**n is formed
+    log_m = pk.qubit_capacity_log(args.qubits, args.eps) if by_qubits \
+        else pk.log_lower_bound(args.d, args.eps)
+    d = 2 ** args.qubits if by_qubits else args.d
+    try:
+        m = pk.lower_bound(d, args.eps)
+    except OverflowError:
+        m = None
     columns = ["d", "qubits", "eps", "lower_bound", "log_lower_bound"]
-    if args.qubits is not None:
-        log_m = pk.qubit_capacity_log(args.qubits, args.eps)
-        d_label = f"2^{args.qubits}"
-        try:
-            m = pk.lower_bound(2 ** args.qubits, args.eps)
-        except OverflowError:
-            m = None
-        rows = [[d_label, args.qubits, args.eps, m, log_m]]
-        summary = {"log_lower_bound": log_m}
-    else:
-        log_m = pk.log_lower_bound(args.d, args.eps)
-        try:
-            m = pk.lower_bound(args.d, args.eps)
-        except OverflowError:
-            m = None
-        rows = [[args.d, None, args.eps, m, log_m]]
-        summary = {"lower_bound": m, "log_lower_bound": log_m}
+    rows = [[f"2^{args.qubits}" if by_qubits else d, args.qubits, args.eps,
+             m, log_m]]
+    summary = {"log_lower_bound": log_m}
+    if not by_qubits:
+        summary["lower_bound"] = m
     prov = _provenance(args, "packing bound", None, {
         "d": args.d, "qubits": args.qubits, "eps": args.eps,
     })
@@ -456,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="environment qubits")
     p.add_argument("--k", type=int, default=None, help="pointer outcomes")
     p.add_argument("--dynamics",
-                   choices=("exact-haar", "chaotic-circuit",
-                            "integrable", "integrable-product"),
+                   choices=dc.DYNAMICS + ("integrable",),
                    default=None, help="default exact-haar")
     p.add_argument("--theta", type=float, nargs="+", default=None,
                    help="per-pointer rotation angles (integrable dynamics)")

@@ -584,8 +584,8 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     (``_workers._in_workers``). A block's arrays
     are numpy temporaries that die with the block, and each worker writes
     disjoint output rows, so the output bytes do not depend on the worker
-    count. Integrable trials draw nothing, so their records and statistics
-    are formed once, serially, and copied into every trial's row. Every
+    count. Integrable trials draw nothing, so one block holding trial 0 is
+    run and its row is copied into every other trial's row. Every
     block of records is unit-checked, and its statistics come from one
     pass (``_block_statistics``): pair overlaps |G_ij|^2, i < j, as
     ``typicality_ratio`` takes them, and max coherences bit-identical to
@@ -600,29 +600,26 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     pair_overlaps = np.empty((trials, pairs), dtype=float)
     max_coherences = np.empty(trials, dtype=float)
     c = model.coefficients
+    # integrable trials draw nothing: trial 0 alone is run, and the rows
+    # of the others are copies of its row
+    run = 1 if model.dynamics == "integrable-product" else trials
+    step = min(_block_trials(model), run)
 
-    if model.dynamics == "integrable-product":
-        recs = _records(model, (), 1)
-        _check_unit_rows(recs)
-        _block_statistics(c, recs, pair_overlaps[:1], max_coherences[:1])
-        pair_overlaps[1:] = pair_overlaps[0]
-        max_coherences[1:] = max_coherences[0]
-    else:
-        step = min(_block_trials(model), trials)
+    def work(claims):
+        """Key, draw, check and reduce the claimed blocks."""
+        for t0 in claims:
+            t1 = min(t0 + step, run)
+            # row (t, i) keys trial t's pointer value i, trial-major
+            streams = rng._descendants(np.column_stack(
+                np.divmod(np.arange(t0 * k, t1 * k), k)))
+            block = _records(model, streams, t1 - t0)
+            _check_unit_rows(block)
+            _block_statistics(c, block, pair_overlaps[t0:t1],
+                              max_coherences[t0:t1])
 
-        def work(claims):
-            """Key, draw, check and reduce the claimed blocks."""
-            for t0 in claims:
-                t1 = min(t0 + step, trials)
-                # row (t, i) keys trial t's pointer value i, trial-major
-                streams = rng._descendants(np.column_stack(
-                    np.divmod(np.arange(t0 * k, t1 * k), k)))
-                block = _records(model, streams, t1 - t0)
-                _check_unit_rows(block)
-                _block_statistics(c, block, pair_overlaps[t0:t1],
-                                  max_coherences[t0:t1])
-
-        _in_workers(work, range(0, trials, step))
+    _in_workers(work, range(0, run, step))
+    pair_overlaps[run:] = pair_overlaps[0]
+    max_coherences[run:] = max_coherences[0]
     return SuppressionResult(
         model=model, trials=trials,
         pair_overlaps=pair_overlaps, max_coherences=max_coherences,

@@ -33,9 +33,6 @@ __all__ = [
 # list of line strings, about 50 bytes each, stays near 4 MB instead of
 # growing with the file.
 _PARSE_SLICE_CHARS = 1 << 18
-# JSON names of the non-number values ``json.loads`` returns.
-_JSON_TYPES = {bool: "boolean", str: "string", list: "array", dict: "object",
-               type(None): "null"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,31 +70,17 @@ class Spectrum:
 
         Blank lines are skipped; every other line must parse as Python's
         ``float()`` parses it, or ``ValueError`` is raised; a line may end
-        in LF, CRLF or CR. A JSON array may hold only numbers (not
-        booleans), or ``ValueError`` names the first other item; an
-        integer too large for a float reads as inf, as it does in the
-        line format, and fails the finiteness check.
+        in LF, CRLF or CR. Each item of a JSON array must pass
+        ``validate.real``, or ``ValueError`` names the first that does
+        not: a boolean, string, array, object, null, NaN or infinity, or
+        an integer beyond the float range.
         """
         if text.lstrip().startswith("["):
-            values = _json_energies(json.loads(text))
+            values = [real(f"spectrum item {i}", v)
+                      for i, v in enumerate(json.loads(text))]
         else:
             values = _parse_lines(text)
         return cls(values)
-
-
-def _json_energies(values: list) -> np.ndarray:
-    """The items of a parsed JSON array as floats; ValueError names the
-    first item that is not a JSON number."""
-    energies = np.empty(len(values))
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"spectrum item {i} is a JSON "
-                             f"{_JSON_TYPES[type(v)]}, not a number")
-        try:
-            energies[i] = float(v)
-        except OverflowError:  # an int beyond the float range
-            energies[i] = math.inf if v > 0 else -math.inf
-    return energies
 
 
 def _parse_lines(text: str) -> np.ndarray:

@@ -51,14 +51,16 @@ _SAMPLE_CHUNK_ENTRIES = 1 << 17
 
 
 def _in_unit_interval(name: str, value) -> np.ndarray:
-    """``value``, a scalar or an array, as floats that all lie in [0, 1]."""
-    try:
-        xs = np.asarray(value, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        xs = None
-    if xs is None or not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return xs
+    """``value``, a real number or an array of them, as floats that all
+    lie in [0, 1]. Only integer and float dtypes count as real: a string,
+    bytes, boolean or complex value raises ValueError, and so does an int
+    beyond the float range, which numpy holds as an object."""
+    xs = np.asarray(value)
+    if not (xs.dtype.kind in "iuf"
+            and np.all((xs >= 0.0) & (xs <= 1.0))):
+        raise ValueError(f"{name} must be a real number in [0, 1] "
+                         "or an array of them")
+    return xs.astype(float, copy=False)
 
 
 def pdf(d: int, x):
@@ -296,7 +298,9 @@ def wilson_interval(k: int, n: int, alpha: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion at level alpha."""
     n = integer("n", n, 1)
     k = integer("k", k, 0, n)
-    alpha = real("alpha", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
+    # above the least subnormal, so that alpha / 2 does not round to 0
+    alpha = real("alpha", alpha, math.ulp(0.0), 1.0, lo_open=True,
+                 hi_open=True)
     from statistics import NormalDist  # lazily: no CLI command needs its ~1 ms
     # minus the lower alpha/2 quantile: 1 - alpha/2 would round the tail away
     z = -NormalDist().inv_cdf(alpha / 2.0)

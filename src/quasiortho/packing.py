@@ -111,10 +111,10 @@ def _exact_floor(d: int, eps: float) -> int:
 
 
 def qubit_capacity_log(n: int, eps: float) -> float:
-    """log of the bound at d = 2**n; grows proportionally to 2**n."""
+    """log of the bound at d = 2**n, ``log_lower_bound(2**n, eps)``; grows
+    proportionally to 2**n."""
     n = integer("qubit count", n, 0, MAX_QUBITS_ANALYTIC)
-    eps = real("eps", eps, 0.0, 1.0, hi_open=True)
-    return 0.5 * (2.0 ** n - 1.0) * (-math.log1p(-eps)) - 0.5
+    return log_lower_bound(2 ** n, eps)
 
 
 def union_bound_failure(d: int, eps: float, m: int) -> float:

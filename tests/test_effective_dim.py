@@ -61,26 +61,28 @@ class TestSpectrum:
         assert got.tobytes() == np.array(
             [-2.0, 0.0, 1.5, 3.0, float(9007199254740993)]).tobytes()
 
-    @pytest.mark.parametrize("text, index, kind", [
-        ("[false, true, true]", 0, "boolean"),
-        ("[0, 1, true]", 2, "boolean"),
-        ('["1", "2.5"]', 0, "string"),
-        ('[{"a": 1}]', 0, "object"),
-        ("[1, [2]]", 1, "array"),
-        ("[0, null]", 1, "null"),
-    ], ids=["bools", "late-bool", "strings", "object", "nested", "null"])
+    @pytest.mark.parametrize("text, index, rule", [
+        ("[false, true, true]", 0, "must be a number"),
+        ("[0, 1, true]", 2, "must be a number"),
+        ('["1", "2.5"]', 0, "must be a number"),
+        ('[{"a": 1}]', 0, "must be a number"),
+        ("[1, [2]]", 1, "must be a number"),
+        ("[0, null]", 1, "must be a number"),
+        (f"[0, {'9' * 400}]", 1, "must be a finite number"),
+    ], ids=["bools", "late-bool", "strings", "object", "nested", "null",
+            "int-beyond-float"])
     def test_from_file_json_non_number_names_its_index(self, text, index,
-                                                        kind, tmp_path):
+                                                        rule, tmp_path):
         path = tmp_path / "levels.json"
         path.write_text(text)
         with pytest.raises(ValueError,
-                           match=f"item {index} is a JSON {kind}, not a number"):
+                           match=f"^spectrum item {index} {rule}, got "):
             Spectrum.from_file(path)
 
     @pytest.mark.parametrize("big", ["9" * 400, "-" + "9" * 400])
     def test_from_file_json_int_beyond_float_is_not_finite(self, big,
                                                            tmp_path):
-        # read as +-inf, as the line format reads it, not an OverflowError
+        # a ValueError in both formats, not an OverflowError
         lines, array = tmp_path / "levels.txt", tmp_path / "levels.json"
         lines.write_text(big + "\n")
         array.write_text(f"[{big}]")

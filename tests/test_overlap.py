@@ -99,6 +99,15 @@ class TestSurvivalCdf:
         assert 0.0 < v < 1.0
         assert abs(math.log(v) - 9999 * math.log1p(-0.01)) < 1e-9
 
+    @pytest.mark.parametrize("fn", [pdf, cdf, survival])
+    @pytest.mark.parametrize("x", ["0.5", b"0.5", True, 0.5j,
+                                   np.array(["0.1"]), 10 ** 400],
+                             ids=["str", "bytes", "bool", "complex",
+                                  "str-array", "int-beyond-float"])
+    def test_only_real_numbers_count(self, fn, x):
+        with pytest.raises(ValueError, match="must be a real number"):
+            fn(8, x)
+
     def test_cdf_monotone(self):
         xs = np.linspace(0, 1, 101)
         vals = cdf(64, xs)
@@ -413,7 +422,7 @@ class TestWilsonInterval:
             wilson_interval(5, 10, 0.0)
 
     @pytest.mark.parametrize("alpha", [*np.geomspace(1e-12, 1 - 1e-6, 41),
-                                       1e-17, 1e-100, 1e-300])
+                                       1e-17, 1e-100, 1e-300, 1e-323])
     def test_equals_the_scipy_stats_formula(self, alpha):
         # the accurate reference: norm.ppf(1 - alpha/2) loses the tail to
         # the rounding of 1 - alpha/2, and is inf below alpha ~ 1.1e-16
@@ -437,6 +446,13 @@ class TestWilsonInterval:
             assert 0.0 < lo < 0.1 < hi < 1.0
         (lo1, hi1), (lo2, hi2) = intervals
         assert lo2 < lo1 and hi1 < hi2
+
+    def test_alpha_floor_is_the_least_subnormal(self):
+        # alpha / 2 rounds to 0 at 5e-324, where the quantile is undefined
+        with pytest.raises(ValueError, match="^alpha "):
+            wilson_interval(1, 10, 5e-324)
+        lo, hi = wilson_interval(1, 10, 1e-323)
+        assert 0.0 < lo < hi < 1.0
 
     @given(
         n=st.integers(min_value=1, max_value=10_000),

@@ -27,7 +27,8 @@ from quasiortho import (
     verify,
 )
 from quasiortho import _workers, limits, packing, states
-from quasiortho.packing import _GREEDY_BATCH, _pairwise_stats
+from quasiortho.packing import (MAX_QUBITS_ANALYTIC, _GREEDY_BATCH,
+                                _pairwise_stats)
 from quasiortho.states import _haar_rows, pairwise_overlap_sq
 
 # Extended-precision oracle values (mpmath, 60 digits)
@@ -142,6 +143,15 @@ class TestQubitCapacity:
         for n in (1, 4, 10):
             assert qubit_capacity_log(n, 0.2) == pytest.approx(
                 log_lower_bound(2 ** n, 0.2), rel=1e-14)
+
+    def test_equals_log_lower_bound_bit_for_bit(self):
+        # the qubit form is the bound at d = 2**n, not a formula of its own
+        grid = [0.0, 1e-300, 1e-17, 1e-9, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.9,
+                1 - 1e-12, math.nextafter(1.0, 0.0)]
+        for n in range(MAX_QUBITS_ANALYTIC + 1):
+            for eps in grid:
+                assert qubit_capacity_log(n, eps) == \
+                    log_lower_bound(2 ** n, eps), (n, eps)
 
     def test_domain(self):
         with pytest.raises(ValueError):
