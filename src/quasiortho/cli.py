@@ -221,9 +221,7 @@ def cmd_packing_bound(args) -> int:
     columns = ["d", "qubits", "eps", "lower_bound", "log_lower_bound"]
     rows = [[f"2^{args.qubits}" if by_qubits else d, args.qubits, args.eps,
              m, log_m]]
-    summary = {"log_lower_bound": log_m}
-    if not by_qubits:
-        summary["lower_bound"] = m
+    summary = {"log_lower_bound": log_m, "lower_bound": m}
     prov = _provenance(args, "packing bound", None, {
         "d": args.d, "qubits": args.qubits, "eps": args.eps,
     })

@@ -361,10 +361,10 @@ def generate_branches(model: MeasurementModel, rng: RngStream) -> BranchSet:
 def gram_matrix(branches: BranchSet) -> np.ndarray:
     """Record Gram matrix with G[j, i] = <E_j|E_i>; Hermitian, unit diagonal.
 
-    Entry for entry it is the complex conjugate of the product that
-    ``pairwise_overlap_sq`` squares, so the moduli of its upper triangle
-    are bit-identical to that kernel's; its lower triangle is not always
-    the conjugate of its upper one in the last bit.
+    Entry for entry it is the complex conjugate of the product whose
+    moduli ``states._gram_blocks`` yields, so the moduli of its upper
+    triangle are bit-identical to that kernel's; its lower triangle is
+    not always the conjugate of its upper one in the last bit.
     """
     rows = branches.rows
     return rows.conj() @ rows.T

@@ -333,6 +333,8 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     does not depend on the worker count and memory does not grow with
     ``trials``. The report statistic is the empirical failure fraction and
     the threshold is the union bound plus three binomial standard errors.
+    ``trials`` counts against ``limits.MAX_SAMPLE_COUNT``, checked before
+    anything is drawn.
     """
     trials = integer("trials", trials, 30)
     d = integer("d", d, 1)
@@ -340,6 +342,7 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     m = integer("M", m, 2)
     limits.check_state_dim(d)
     limits.check_sample_count(m * d)
+    limits.check_sample_count(trials)
     limits.check_pairwise_ops(m, d)
     ub = union_bound_failure(d, eps, m)
     counts = []

@@ -74,7 +74,8 @@ class RngStream:
     drivers can hand one independent stream to each trial without
     coordinating draw counts; results are then independent of how trials
     are scheduled. Library code keys descendants a block at a time
-    through :meth:`_descendants`, bit-identical to ``substream``.
+    through :meth:`_descendants`, bit-identical to ``substream``, for
+    indices below 2**32.
 
     The stream is the only stateful object in the library: draws advance
     the underlying generator. Share streams across threads only via
@@ -134,22 +135,16 @@ class RngStream:
         SeedSequence hash is then run here, vectorized over the block,
         over each tail column as one uint32 word per index, followed by
         ``generate_state(4, uint64)``; PCG64's seeding steps
-        (``_pcg64_state``) follow in Python ints. A block with an index
-        of 2**32 or more, which numpy hashes as several words, falls back
-        to numpy's ``SeedSequence``, child by child. A negative index
-        raises ValueError, as in ``substream``.
+        (``_pcg64_state``) follow in Python ints. An index below 0, or of
+        2**32 or more, which numpy hashes as several words, raises
+        ValueError before the uint32 cast could wrap it. No library call
+        keys one: the sample cap bounds trial and sample-block indices,
+        and 2**32 pointer values would need 64 GiB of coefficients.
         """
         tails = np.asarray(tails)
-        if tails.size and not tails.min() >= 0:
-            raise ValueError(f"substream index must be >= 0, got {tails.min()}")
-        if tails.size and tails.max() > _MASK32:
-            key = (self.stream_index, *self._path)
-            states = []
-            for tail in tails.tolist():
-                state = np.random.PCG64(np.random.SeedSequence(
-                    self.seed, spawn_key=key + tuple(tail))).state["state"]
-                states.append((state["state"], state["inc"]))
-            return states
+        if tails.size and not 0 <= tails.min() <= tails.max() <= _MASK32:
+            raise ValueError("substream indices of a block must be in "
+                             f"[0, 2**32), got {tails.min()} to {tails.max()}")
         row, h = self._key_pool
         pool = np.repeat(row, len(tails), axis=0)
         width = tails.shape[1]

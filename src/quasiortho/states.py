@@ -28,7 +28,6 @@ __all__ = [
     "haar_state",
     "inner",
     "overlap_sq",
-    "pairwise_overlap_sq",
     "chordal_distance",
     "haar_unitary",
     "apply",
@@ -44,7 +43,7 @@ NORM_ATOL = 1e-9
 UNITARY_ATOL = 1e-9
 # overlap_sq is clamped into [0, 1] only when the excess is below this.
 CLAMP_ATOL = 1e-10
-# Complex Gram entries per block of pairwise_overlap_sq (16 MB), so
+# Complex Gram entries per block of _gram_blocks (16 MB), so
 # all-pairs work holds O(block * M) memory, never the M x M Gram matrix.
 _GRAM_BLOCK_ENTRIES = 1 << 20
 # Blocks start on multiples of this many rows, so BLAS tiles every block
@@ -247,23 +246,6 @@ def overlap_sq(psi: StateVector, phi: StateVector) -> float:
     if 1.0 < v <= 1.0 + CLAMP_ATOL:
         return 1.0
     return v
-
-
-def pairwise_overlap_sq(rows: np.ndarray):
-    """Yield |<u_j|u_i>|^2 for all row pairs i < j, block by block.
-
-    Each item is a 1-D array covering the pairs of a block of rows
-    [i0, i1), computed from ``rows[i0:i1] @ rows[i0:].conj().T``. Items
-    come in lexicographic (i, j) order, so their concatenation equals
-    the upper triangle of the full squared-modulus Gram matrix read row
-    by row. Besides its items the kernel holds one conjugate copy of the
-    rows, one complex Gram block and one float block of its moduli, each
-    block at most max(16 M, 2**20) entries.
-    """
-    for _, block in _gram_blocks(rows):
-        b, w = block.shape
-        vals = block[np.arange(w) > np.arange(b)[:, None]]
-        yield np.square(vals, out=vals)
 
 
 def _gram_blocks(rows: np.ndarray):

@@ -88,12 +88,18 @@ class TestOverlapDist:
         assert len(json.loads(out)["rows"]) == 100
 
     def test_unseeded_run_records_drawn_seed(self, capsys):
-        code, out = run_cli(["overlap-dist", "--d", "16", "--trials", "200",
-                             "--no-timestamp"], capsys)
-        assert code == 0
-        seed_lines = [ln for ln in out.splitlines() if ln.startswith("# seed=")]
+        argv = ["overlap-dist", "--d", "16", "--trials", "200",
+                "--no-timestamp"]
+        code, out = run_cli(argv, capsys)
+        # the KS check rejects about 1% of fresh seeds, by design
+        lines = out.splitlines()
+        assert code == (0 if "# ks_pass=true" in lines else 1)
+        seed_lines = [ln for ln in lines if ln.startswith("# seed=")]
         assert len(seed_lines) == 1
-        assert int(seed_lines[0].split("=", 1)[1]) >= 0
+        seed = seed_lines[0].split("=", 1)[1]
+        assert int(seed) >= 0
+        # the recorded seed reproduces the run
+        assert run_cli(argv + ["--seed", seed], capsys) == (code, out)
 
     def test_reference_invocation_full_size(self, capsys):
         # the documented reference run: 1e5 samples at d=1024
@@ -147,6 +153,17 @@ class TestPackingBound:
         obj = json.loads(out)
         assert abs(obj["summary"]["log_lower_bound"] - 55238.701353) < 1e-3
         assert obj["rows"][0]["lower_bound"] is None  # beyond float range
+        assert obj["summary"]["lower_bound"] is None
+
+    def test_qubit_mode_summary_carries_the_lower_bound(self, capsys):
+        lines = []
+        for argv in (["--qubits", "5"], ["--d", "32"]):
+            code, out = run_cli(["packing", "bound", *argv, "--eps", "0.3",
+                                 "--no-timestamp"], capsys)
+            assert code == 0
+            lines.append([ln for ln in out.splitlines()
+                          if ln.startswith("# lower_bound=")])
+        assert lines == [["# lower_bound=152"]] * 2
 
     def test_requires_exactly_one_of_d_and_qubits(self, capsys):
         code, _ = run_cli(["packing", "bound", "--eps", "0.1"], capsys)
@@ -209,6 +226,12 @@ class TestPackingBuild:
         monkeypatch.setattr(quasiortho.limits, "MAX_PAIRWISE_OPS", 100)
         assert main(["packing", "build", "--d", "16", "--eps", "0.9",
                      "--M", "3", "--trials", "30", "--seed", "1",
+                     "--no-timestamp"]) == 3
+
+    def test_rate_trials_over_the_sample_cap_exit_3(self, monkeypatch):
+        monkeypatch.setattr(quasiortho.limits, "MAX_SAMPLE_COUNT", 1000)
+        assert main(["packing", "build", "--d", "2", "--eps", "0.5",
+                     "--M", "2", "--trials", "1001", "--seed", "1",
                      "--no-timestamp"]) == 3
 
 

@@ -30,8 +30,8 @@ from quasiortho import (
     suppression_experiment,
     typicality_ratio,
 )
-from quasiortho.states import (Unitary, apply_local, haar_unitary,
-                               pairwise_overlap_sq)
+from quasiortho.states import (Unitary, _gram_blocks, apply_local,
+                               haar_unitary)
 from quasiortho import _workers, packing
 from quasiortho import decoherence as dc
 from quasiortho.decoherence import ATYPICAL_RATIO
@@ -103,8 +103,12 @@ def per_gate_records(model, rng):
 
 def kernel_pair_overlaps(rows):
     """Reference pair overlaps |<E_j|E_i>|^2, i < j, in lexicographic
-    order, from the blocked ``pairwise_overlap_sq`` kernel."""
-    return np.concatenate(list(pairwise_overlap_sq(rows)))
+    order, squared from the moduli blocks of the ``_gram_blocks`` kernel."""
+    pairs = []
+    for _, block in _gram_blocks(rows):
+        b, w = block.shape
+        pairs.append(np.square(block[np.arange(w) > np.arange(b)[:, None]]))
+    return np.concatenate(pairs)
 
 
 def non_basis_initial(n):

@@ -29,7 +29,7 @@ from quasiortho import (
 from quasiortho import _workers, limits, packing, states
 from quasiortho.packing import (MAX_QUBITS_ANALYTIC, _GREEDY_BATCH,
                                 _pairwise_stats)
-from quasiortho.states import _haar_rows, pairwise_overlap_sq
+from quasiortho.states import _gram_blocks, _haar_rows
 
 # Extended-precision oracle values (mpmath, 60 digits)
 LOG_BOUND_100_01 = 4.71534552506240       # (99/2)(-ln 0.9) - 1/2
@@ -420,7 +420,7 @@ class TestPairwiseKernel:
 
     def test_first_violation_found_past_the_first_block(self):
         mat = _haar_rows(4, 2100, RngStream(16))
-        assert len(list(pairwise_overlap_sq(mat))) > 1
+        assert len(list(_gram_blocks(mat))) > 1
         mat[1700] = mat[1500]  # overlap 1, in the fourth block
         max_pairwise, pair = _pairwise_stats(mat, 0.999)
         assert pair == (1500, 1700)
@@ -435,8 +435,15 @@ class TestPairwiseKernel:
     def test_small_blocks_concatenate_to_the_dense_triangle(self,
                                                             small_blocks):
         mat = _haar_rows(4, 2100, RngStream(18))
-        items = list(pairwise_overlap_sq(mat))
-        assert len(items) == 132 and items[-1].size == 4 * 3 // 2
+        starts, shapes, items = [], [], []
+        for i0, block in _gram_blocks(mat):
+            b, w = block.shape
+            starts.append(i0)
+            shapes.append((b, w))
+            # pair (i0 + r, i0 + c) for c > r, read row by row
+            items.append(np.square(block[np.arange(w) > np.arange(b)[:, None]]))
+        assert starts == list(range(0, 2100, 16)) and len(starts) == 132
+        assert shapes[-1] == (4, 4)
         dense = (np.abs(mat @ mat.conj().T) ** 2)[np.triu_indices(2100, k=1)]
         assert np.concatenate(items).tobytes() == dense.tobytes()
 
@@ -524,6 +531,19 @@ class TestSuccessRateExperiment:
     def test_alpha_is_the_two_sided_three_sigma_level(self):
         report = success_rate_experiment(2, 0.999999, 3, 30, RngStream(10))
         assert report.alpha == 2.0 * float(norm.sf(3.0))
+
+    def test_trials_count_against_the_sample_cap(self, monkeypatch):
+        # 1001 trials of a 4-entry build: only the trial count passes the
+        # cap, and it is refused before any trial draws
+        monkeypatch.setattr(limits, "MAX_SAMPLE_COUNT", 1000)
+        drawn = []
+        monkeypatch.setattr(packing, "_haar_rows",
+                            lambda *a: drawn.append(a) or _haar_rows(*a))
+        with pytest.raises(ResourceLimitError):
+            success_rate_experiment(2, 0.5, 2, 1001, RngStream(0))
+        assert drawn == []
+        success_rate_experiment(2, 0.5, 2, 1000, RngStream(0))
+        assert len(drawn) == 1000
 
     @pytest.mark.parametrize("cap, value", [("MAX_STATE_DIM", 8),
                                             ("MAX_SAMPLE_COUNT", 40),
