@@ -62,10 +62,11 @@ def _resolve_seed(args) -> int:
     return int(np.random.SeedSequence().entropy)
 
 
-def _provenance(args, command: str, seed: int | None, params: dict) -> dict:
+def _provenance(args, seed: int | None, params: dict) -> dict:
     # the normalized parameter set, not raw argv: output paths and
     # formatting flags must not break byte-identical reproducibility
     # numpy fixes the PCG64 and normal-draw streams
+    command = f"{args.command} {getattr(args, 'mode', '')}".rstrip()
     prov = {"command": command, "version": __version__,
             "python": platform.python_version(), "numpy": np.__version__}
     if seed is not None:
@@ -135,7 +136,7 @@ def _write_family(path, prov: dict, family: pk.QuasiOrthogonalFamily) -> None:
            (row.tolist() for row in family.rows.view(np.float64)))
 
 
-def cmd_overlap_dist(args) -> int:
+def cmd_overlap_dist(args) -> tuple:
     # checked before the draw, which would otherwise run to completion;
     # more bins than samples leave bins empty, and an unbounded count
     # runs out of memory only after the whole draw
@@ -173,15 +174,12 @@ def cmd_overlap_dist(args) -> int:
         "ks_alpha": report.alpha,
         "ks_pass": report.passed,
     }
-    prov = _provenance(args, "overlap-dist", seed, {
-        "d": args.d, "trials": args.trials, "bins": args.bins,
-        "alpha": args.alpha,
-    })
-    _write(args.output, args.format, prov, summary, columns, rows)
-    return EXIT_PASS if report.passed else EXIT_STAT_FAIL
+    params = {"d": args.d, "trials": args.trials, "bins": args.bins,
+              "alpha": args.alpha}
+    return seed, params, summary, columns, rows, report.passed, None
 
 
-def cmd_levy_check(args) -> int:
+def cmd_levy_check(args) -> tuple:
     if (args.d is None) != (args.delta is None):
         raise ValueError("single-point mode needs both --d and --delta")
     if args.d is not None:
@@ -199,14 +197,11 @@ def cmd_levy_check(args) -> int:
         violations += 0 if ok else 1
         rows.append([d, float(delta), exact, bound, ov.is_vacuous(bound), ok])
     summary = {"grid_points": len(grid), "violations": violations}
-    prov = _provenance(args, "levy-check", None, {
-        "d": args.d, "delta": args.delta,
-    })
-    _write(args.output, args.format, prov, summary, columns, rows)
-    return EXIT_PASS if violations == 0 else EXIT_STAT_FAIL
+    return (None, {"d": args.d, "delta": args.delta}, summary, columns, rows,
+            violations == 0, None)
 
 
-def cmd_packing_bound(args) -> int:
+def cmd_packing_bound(args) -> tuple:
     if (args.d is None) == (args.qubits is None):
         raise ValueError("give exactly one of --d or --qubits")
     by_qubits = args.qubits is not None
@@ -222,20 +217,15 @@ def cmd_packing_bound(args) -> int:
     rows = [[f"2^{args.qubits}" if by_qubits else d, args.qubits, args.eps,
              m, log_m]]
     summary = {"log_lower_bound": log_m, "lower_bound": m}
-    prov = _provenance(args, "packing bound", None, {
-        "d": args.d, "qubits": args.qubits, "eps": args.eps,
-    })
-    _write(args.output, args.format, prov, summary, columns, rows)
-    return EXIT_PASS
+    params = {"d": args.d, "qubits": args.qubits, "eps": args.eps}
+    return None, params, summary, columns, rows, True, None
 
 
-def cmd_packing_build(args) -> int:
+def cmd_packing_build(args) -> tuple:
     seed = _resolve_seed(args)
     rng = RngStream(seed)
-    prov = _provenance(args, "packing build", seed, {
-        "d": args.d, "eps": args.eps, "M": args.M, "method": args.method,
-        "trials": args.trials, "max_attempts": args.max_attempts,
-    })
+    params = {"d": args.d, "eps": args.eps, "M": args.M, "method": args.method,
+              "trials": args.trials, "max_attempts": args.max_attempts}
 
     if args.max_attempts is not None and args.method != "greedy":
         raise ValueError("--max-attempts applies to the greedy method only")
@@ -246,15 +236,18 @@ def cmd_packing_build(args) -> int:
         report = pk.success_rate_experiment(args.d, args.eps, args.M,
                                             args.trials, rng)
         success_fraction = 1.0 - report.statistic
+        # the gate's tail: P(at least this many failures) under the bound
+        ub = pk.union_bound_failure(args.d, args.eps, args.M)
+        tail = pk._binomial_tail(round(report.statistic * args.trials),
+                                 args.trials, ub)
         columns = ["d", "eps", "M", "trials", "failure_fraction",
-                   "success_fraction", "union_bound_plus_3se", "pass"]
+                   "success_fraction", "tail_probability", "pass"]
         rows = [[args.d, args.eps, args.M, args.trials, report.statistic,
-                 success_fraction, report.threshold, report.passed]]
+                 success_fraction, tail, report.passed]]
         summary = {"description": report.description,
                    "success_fraction": success_fraction,
                    "pass": report.passed}
-        _write(args.output, args.format, prov, summary, columns, rows)
-        return EXIT_PASS if report.passed else EXIT_STAT_FAIL
+        return seed, params, summary, columns, rows, report.passed, None
 
     if args.method == "greedy":
         attempts = 100 * args.M if args.max_attempts is None \
@@ -266,10 +259,7 @@ def cmd_packing_build(args) -> int:
                  family.max_pairwise, success]]
         summary = {"success": success, "size": family.size,
                    "max_pairwise": family.max_pairwise}
-        if args.family_csv:
-            _write_family(args.family_csv, prov, family)
-        _write(args.output, args.format, prov, summary, columns, rows)
-        return EXIT_PASS if success else EXIT_STAT_FAIL
+        return seed, params, summary, columns, rows, success, family
 
     report = pk.random_coding_construct(args.d, args.eps, args.M, rng)
     columns = ["d", "eps", "M_requested", "success", "max_pairwise",
@@ -278,12 +268,9 @@ def cmd_packing_build(args) -> int:
         f"{report.failure_pair[0]}-{report.failure_pair[1]}"
     rows = [[args.d, args.eps, args.M, report.success, report.max_pairwise,
              pair, report.union_bound]]
-    summary = report.as_dict()
-    summary["failure_pair"] = pair
-    if report.family is not None and args.family_csv:
-        _write_family(args.family_csv, prov, report.family)
-    _write(args.output, args.format, prov, summary, columns, rows)
-    return EXIT_PASS if report.success else EXIT_STAT_FAIL
+    summary = dict(zip(columns, rows[0]))  # the one row, keyed by column
+    return (seed, params, summary, columns, rows, report.success,
+            report.family)
 
 
 def _build_model(args) -> tuple[dc.MeasurementModel, dict]:
@@ -326,7 +313,7 @@ def _build_model(args) -> tuple[dc.MeasurementModel, dict]:
     return model, ({"coeffs": list(args.coeffs)} if args.coeffs else {})
 
 
-def cmd_decohere(args) -> int:
+def cmd_decohere(args) -> tuple:
     if not args.config and args.n is None:
         raise ValueError("give --n (environment qubits) or --config")
     model, model_inputs = _build_model(args)
@@ -339,28 +326,24 @@ def cmd_decohere(args) -> int:
     rows = ([t, f"{i}-{j}", float(result.pair_overlaps[t, p]),
              float(result.max_coherences[t])]
             for t in range(result.trials) for p, (i, j) in enumerate(pairs))
-    summary = result.summary()
-    prov = _provenance(args, "decohere", seed, {
+    params = {
         "n": model.env_qubits, "k": k, "dynamics": model.dynamics,
         "depth": model.depth, "trials": args.trials,
         "theta": None if model.thetas is None else list(model.thetas),
         **model_inputs,
-    })
-    _write(args.output, args.format, prov, summary, columns, rows)
-    return EXIT_PASS
+    }
+    return seed, params, result.summary(), columns, rows, True, None
 
 
-def cmd_deff(args) -> int:
+def cmd_deff(args) -> tuple:
     try:
         # one read, so a pipe works and the hash is of the bytes parsed:
         # the spectrum's content, not its path, determines the output
         with open(args.spectrum, "rb") as fh:
             data = fh.read()
-        spectrum_sha256 = hashlib.sha256(data).hexdigest()
         spectrum = ed.Spectrum.from_text(data.decode("utf-8"))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read spectrum: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    except (OSError, ValueError) as exc:
+        raise OSError(f"cannot read spectrum: {exc}") from exc
     d_eff = ed.microcanonical_dim(spectrum, args.energy, args.width)
     columns = ["energy", "width", "d_eff", "entropy",
                "overlap_sq_scale", "amplitude_scale"]
@@ -371,19 +354,14 @@ def cmd_deff(args) -> int:
         }
         rows = [[args.energy, args.width, 0, None, None, None]]
     else:
-        report = ed.EffectiveDimensionReport(d_eff=float(d_eff),
-                                             method="microcanonical-shell")
-        info = report.as_dict()
-        summary = {"d_eff": d_eff, "entropy": info["entropy"],
-                   "method": info["method"]}
-        rows = [[args.energy, args.width, d_eff, info["entropy"],
-                 info["overlap_sq_scale"], info["amplitude_scale"]]]
-    prov = _provenance(args, "deff", None, {
-        "spectrum_sha256": spectrum_sha256, "energy": args.energy,
-        "width": args.width,
-    })
-    _write(args.output, args.format, prov, summary, columns, rows)
-    return EXIT_PASS
+        entropy = ed.entropy_of(d_eff)
+        summary = {"d_eff": d_eff, "entropy": entropy,
+                   "method": "microcanonical-shell"}
+        rows = [[args.energy, args.width, d_eff, entropy,
+                 *ed.suppression_scale(d_eff)]]
+    params = {"spectrum_sha256": hashlib.sha256(data).hexdigest(),
+              "energy": args.energy, "width": args.width}
+    return None, params, summary, columns, rows, True, None
 
 
 def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None:
@@ -481,16 +459,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # each cmd_* returns (seed or None, params, summary, columns, rows,
+        # passed, certified family or None), written here as one artifact
+        seed, params, summary, columns, rows, passed, family = args.func(args)
+        prov = _provenance(args, seed, params)
+        if family is not None and args.family_csv:
+            _write_family(args.family_csv, prov, family)
+        _write(args.output, args.format, prov, summary, columns, rows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    return EXIT_PASS if passed else EXIT_STAT_FAIL
 
 
 if __name__ == "__main__":

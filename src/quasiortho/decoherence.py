@@ -25,9 +25,7 @@ dynamics are provided:
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +152,8 @@ class MeasurementModel:
             else basis_state(self.env_dim, 0)
 
     @classmethod
-    def from_config(cls, source) -> "MeasurementModel":
-        """Build a model from a JSON config file path or a parsed config.
+    def from_config(cls, cfg) -> "MeasurementModel":
+        """Build a model from a parsed JSON config.
 
         Required keys are ``pointer_count``, ``coefficients``,
         ``env_qubits`` and ``dynamics``; optional ones are ``depth``,
@@ -165,11 +163,6 @@ class MeasurementModel:
         has any other key or gives a list field as anything but a list
         raises ValueError naming the key.
         """
-        if isinstance(source, (str, bytes, os.PathLike)):
-            with open(source, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        else:
-            cfg = source
         if not isinstance(cfg, dict):
             raise ValueError(f"config must be a JSON object, got "
                              f"{type(cfg).__name__}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .validate import frozen_array, integer, real
 
 __all__ = [
     "Spectrum",
-    "EffectiveDimensionReport",
     "microcanonical_dim",
     "entropy_of",
     "ipr_dimension",
@@ -150,30 +149,6 @@ def suppression_scale(d_eff: float) -> tuple[float, float]:
     records: (1/d_eff, 1/sqrt(d_eff)), i.e. (e^-S, e^-(S/2))."""
     d_eff = real("d_eff", d_eff, 1.0)
     return 1.0 / d_eff, 1.0 / math.sqrt(d_eff)
-
-
-@dataclass(frozen=True)
-class EffectiveDimensionReport:
-    """An effective dimension, its entropy, and how it was estimated."""
-
-    d_eff: float
-    method: str
-    entropy: float = field(init=False)
-
-    def __post_init__(self):
-        if self.method not in ("microcanonical-shell", "ipr"):
-            raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "entropy", entropy_of(self.d_eff))
-
-    def as_dict(self) -> dict:
-        overlap_scale, amplitude_scale = suppression_scale(self.d_eff)
-        return {
-            "d_eff": self.d_eff,
-            "entropy": self.entropy,
-            "method": self.method,
-            "overlap_sq_scale": overlap_scale,
-            "amplitude_scale": amplitude_scale,
-        }
 
 
 def noninteracting_qubit_spectrum(n: int) -> Spectrum:

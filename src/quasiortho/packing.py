@@ -10,6 +10,7 @@ the doubly-exponential qubit regime never overflows.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -186,17 +187,6 @@ class PackingReport:
     union_bound: float
     family: QuasiOrthogonalFamily | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "eps": self.eps,
-            "M_requested": self.m_requested,
-            "success": self.success,
-            "max_pairwise": self.max_pairwise,
-            "failure_pair": list(self.failure_pair) if self.failure_pair else None,
-            "union_bound": self.union_bound,
-        }
-
 
 def _pairwise_stats(mat: np.ndarray, eps: float):
     """Exact all-pairs max squared overlap and first violating pair.
@@ -317,6 +307,32 @@ def verify(family: QuasiOrthogonalFamily) -> tuple[float, bool]:
     return max_pairwise, max_pairwise <= family.eps
 
 
+def _binomial_tail(k: int, n: int, p: float) -> float:
+    """P(X >= k) for X ~ Binomial(n, min(p, 1)).
+
+    The terms fall away from the mode, so the sum starts at k and runs
+    away from it: the tail above the mode, its complement below. The
+    first term comes from ``math.lgamma``, each next one by its ratio.
+    """
+    if k <= 0 or p >= 1.0:
+        return 1.0
+    if k > n or p <= 0.0:
+        return 0.0
+    upper = k > (n + 1) * p - 1
+    j = k if upper else k - 1
+    log_first = (math.lgamma(n + 1) - math.lgamma(j + 1)
+                 - math.lgamma(n - j + 1) + j * math.log(p)
+                 + (n - j) * math.log1p(-p))
+    odds = p / (1.0 - p)
+    total, term = 0.0, 1.0
+    while term > 1e-17 * total:
+        total += term
+        term *= (n - j) / (j + 1) * odds if upper else j / ((n - j + 1) * odds)
+        j += 1 if upper else -1
+    mass = math.exp(log_first) * total
+    return min(mass, 1.0) if upper else max(1.0 - mass, 0.0)
+
+
 def success_rate_experiment(d: int, eps: float, m: int, trials: int,
                             rng: RngStream) -> TestReport:
     """Check that random coding succeeds at least as often as the union
@@ -331,8 +347,10 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     (``RngStream._descendants``, one generator per block) and counts its
     own failures; the counts are summed after the join, so the report
     does not depend on the worker count and memory does not grow with
-    ``trials``. The report statistic is the empirical failure fraction and
-    the threshold is the union bound plus three binomial standard errors.
+    ``trials``. The union bound caps the failure probability, so the
+    failure count passes when P(Binomial(trials, min(ub, 1)) >= failures)
+    is at least ``_ALPHA_3SIGMA``. The report statistic is the empirical
+    failure fraction and the threshold the largest passing fraction.
     ``trials`` counts against ``limits.MAX_SAMPLE_COUNT``, checked before
     anything is drawn.
     """
@@ -360,11 +378,13 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
 
     _in_workers(work, range(0, trials, _RATE_BLOCK))
     failures = sum(counts)
-    p_fail = failures / trials
-    se = math.sqrt(p_fail * (1.0 - p_fail) / trials)
+    # the tail falls as the count grows: the first failing count, less one
+    passing = bisect.bisect_left(
+        range(trials + 1), True,
+        key=lambda k: _binomial_tail(k, trials, ub) < _ALPHA_3SIGMA) - 1
     return TestReport(
-        statistic=p_fail,
-        threshold=ub + 3.0 * se,
+        statistic=failures / trials,
+        threshold=passing / trials,
         alpha=_ALPHA_3SIGMA,
         description=(
             f"random-coding success rate at d={d}, eps={eps}, M={m}: "

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import quasiortho.cli
+import quasiortho.effective_dim
 import quasiortho.limits
 import quasiortho.overlap
+import quasiortho.packing
 import quasiortho.states
 from quasiortho import RngStream, greedy_construct, wilson_interval
 from quasiortho.cli import _fmt_cell, main
@@ -220,6 +223,56 @@ class TestPackingBuild:
         cells = np.array([[float(c) for c in ln.split(",")] for ln in table[1:]])
         rebuilt = cells[:, 0::2] + 1j * cells[:, 1::2]
         assert np.allclose(rebuilt, family.rows, rtol=0, atol=1e-15)
+
+    def test_greedy_family_csv_carries_the_output_provenance(self, tmp_path):
+        # with the timestamp kept: the two files share one provenance dict
+        fam_path, out_path = tmp_path / "family.csv", tmp_path / "out.csv"
+        code = main(["packing", "build", "--d", "16", "--eps", "0.5",
+                     "--M", "4", "--method", "greedy", "--seed", "2",
+                     "--family-csv", str(fam_path), "--output", str(out_path)])
+        assert code == 0
+        summaries = {"family": ("dim", "eps", "size", "max_pairwise"),
+                     "out": ("success", "size", "max_pairwise")}
+        provs = {}
+        for name, path in (("family", fam_path), ("out", out_path)):
+            lines = path.read_text().splitlines()
+            provs[name] = [ln for ln in lines if ln.startswith("# ")
+                           and ln[2:].split("=")[0] not in summaries[name]]
+        assert provs["family"] == provs["out"]
+        assert any(ln.startswith("# timestamp=") for ln in provs["out"])
+        assert "# command=packing build" in provs["out"]
+
+    @pytest.mark.parametrize("failures, trials, ub", [
+        (7, 30, 0.01), (9, 30, 0.05), (12, 200, 0.01), (10, 1000, 0.001)])
+    def test_rate_count_unlikely_under_the_bound_exits_1(
+            self, failures, trials, ub, monkeypatch, capsys):
+        # the union bound plus three standard errors of the observed rate
+        # passed each count, though each is less likely than alpha under
+        # the bound
+        from scipy.stats import binom
+        p = failures / trials
+        assert p <= ub + 3.0 * math.sqrt(p * (1.0 - p) / trials)
+        packing = quasiortho.packing
+        calls = itertools.count()
+        monkeypatch.setattr(packing, "union_bound_failure", lambda *a: ub)
+        monkeypatch.setattr(packing, "_pairwise_stats", lambda mat, eps: (
+            1.0 if next(calls) < failures else 0.0, None))
+        code, out = run_cli(["packing", "build", "--d", "2", "--eps", "0.5",
+                             "--M", "2", "--trials", str(trials), "--seed",
+                             "1", "--format", "json", "--no-timestamp"],
+                            capsys)
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["columns"] == ["d", "eps", "M", "trials",
+                                  "failure_fraction", "success_fraction",
+                                  "tail_probability", "pass"]
+        row = obj["rows"][0]
+        assert row["failure_fraction"] == p
+        assert row["pass"] is False and obj["summary"]["pass"] is False
+        assert f"failed {failures}/{trials}" in obj["summary"]["description"]
+        tail = float(binom.sf(failures - 1, trials, ub))
+        assert tail < packing._ALPHA_3SIGMA
+        assert math.isclose(row["tail_probability"], tail, rel_tol=1e-9)
 
     def test_rate_experiment_over_a_cap_is_resource_error(self, monkeypatch):
         # 3 vectors at d=16 are 144 pair ops
@@ -518,6 +571,28 @@ class TestDeff:
         code, _ = run_cli(["deff", "--spectrum", str(tmp_path / "nope.txt"),
                            "--energy", "0", "--width", "1"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("text", [None, "0\n1\nfoo\n", "[0, 1",
+                                      b"\xff\n"],
+                             ids=["missing", "bad-line", "bad-json",
+                                  "not-utf8"])
+    def test_unreadable_spectrum_names_the_read_error(self, text, capsys,
+                                                      tmp_path):
+        spec = tmp_path / "levels.txt"
+        if text is None:
+            with pytest.raises(OSError) as err:
+                open(spec, "rb")
+        else:
+            data = text if isinstance(text, bytes) else text.encode()
+            spec.write_bytes(data)
+            with pytest.raises(ValueError) as err:
+                quasiortho.effective_dim.Spectrum.from_text(data.decode())
+        code = main(["deff", "--spectrum", str(spec), "--energy", "0",
+                     "--width", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read spectrum: {err.value}\n"
 
     def test_nonpositive_width_is_usage_error(self, capsys, tmp_path):
         spec = tmp_path / "levels.txt"

@@ -292,7 +292,8 @@ class TestMeasurementModel:
             "dynamics": "chaotic-circuit",
             "depth": 5,
         }))
-        m = MeasurementModel.from_config(path)
+        with open(path, encoding="utf-8") as fh:
+            m = MeasurementModel.from_config(json.load(fh))
         assert m.depth == 5
         assert np.allclose(m.coefficients, [0.6, 0.8j])
 

@@ -10,7 +10,6 @@ from quasiortho.limits import ResourceLimitError
 from quasiortho.effective_dim import _parse_lines
 
 from quasiortho import (
-    EffectiveDimensionReport,
     RngStream,
     Spectrum,
     StateVector,
@@ -326,16 +325,6 @@ class TestSuppressionScale:
     def test_domain(self):
         with pytest.raises(ValueError):
             suppression_scale(0.9)
-
-
-class TestReport:
-    def test_entropy_derived_from_d_eff(self):
-        r = EffectiveDimensionReport(d_eff=64.0, method="microcanonical-shell")
-        assert r.entropy == entropy_of(64.0)
-
-    def test_method_validated(self):
-        with pytest.raises(ValueError):
-            EffectiveDimensionReport(d_eff=4.0, method="guesswork")
 
 
 def test_entropy_extensive_on_qubit_spectrum():

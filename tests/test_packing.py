@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 from quasiortho import (
     QuasiOrthogonalFamily,
@@ -27,7 +29,8 @@ from quasiortho import (
     verify,
 )
 from quasiortho import _workers, limits, packing, states
-from quasiortho.packing import (MAX_QUBITS_ANALYTIC, _GREEDY_BATCH,
+from quasiortho.packing import (_ALPHA_3SIGMA, MAX_QUBITS_ANALYTIC,
+                                _GREEDY_BATCH, _binomial_tail,
                                 _pairwise_stats)
 from quasiortho.states import _gram_blocks, _haar_rows
 
@@ -555,3 +558,94 @@ class TestSuccessRateExperiment:
             random_coding_construct(16, 0.9, 3, RngStream(0))
         with pytest.raises(ResourceLimitError):
             success_rate_experiment(16, 0.9, 3, 30, RngStream(0))
+
+
+def fail_first(monkeypatch, failures):
+    """Make the first ``failures`` certifications of a rate experiment fail
+    and the rest succeed, whichever worker runs them."""
+    calls = itertools.count()
+    monkeypatch.setattr(packing, "_pairwise_stats", lambda mat, eps: (
+        1.0 if next(calls) < failures else 0.0, None))
+
+
+def largest_passing_count(trials, ub):
+    """scipy's answer: the largest k with P(Binomial(trials, ub) >= k) at
+    least alpha."""
+    tails = binom.sf(np.arange(-1, trials + 1), trials, min(ub, 1.0))
+    return int(np.flatnonzero(tails >= _ALPHA_3SIGMA)[-1])
+
+
+class TestBinomialGate:
+    @pytest.mark.parametrize("n", [1, 2, 30, 200, 1000])
+    @pytest.mark.parametrize("p", [1e-6, 0.001, 0.01, 0.05, 0.181813, 0.5,
+                                   0.97])
+    def test_tail_matches_scipy(self, n, p):
+        ks = np.arange(n + 2)
+        want = binom.sf(ks - 1, n, p)
+        got = np.array([_binomial_tail(int(k), n, p) for k in ks])
+        # scipy flushes tails below about 1e-284 to 0
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-280)
+
+    @pytest.mark.parametrize("trials, ub", [
+        (30, 0.01), (30, 0.05), (200, 0.01), (1000, 0.001), (200, 0.181813),
+        (1000, 0.181813)])
+    def test_threshold_is_the_largest_passing_fraction(self, trials, ub,
+                                                       monkeypatch):
+        monkeypatch.setattr(packing, "union_bound_failure", lambda *a: ub)
+        passing = largest_passing_count(trials, ub)
+        for failures in (passing, passing + 1):
+            fail_first(monkeypatch, failures)
+            report = success_rate_experiment(2, 0.5, 2, trials, RngStream(0))
+            assert report.threshold == passing / trials
+            assert report.passed == (failures == passing)
+
+    def test_reference_case_tail(self):
+        # packing build --d 100 --eps 0.1 --M 111 --trials 200 --seed 3
+        # fails 22 of 200 against a bound of 0.1818
+        ub = union_bound_failure(100, 0.1, 111)
+        assert math.isclose(_binomial_tail(22, 200, ub),
+                            binom.sf(21, 200, ub), rel_tol=1e-12)
+        assert _binomial_tail(22, 200, ub) > 0.998
+
+    def test_bound_of_zero_and_at_least_one(self, monkeypatch):
+        for k in (1, 2, 30):
+            assert _binomial_tail(k, 30, 0.0) == 0.0
+        for p in (0.0, 0.5, 1.0, 2.5):
+            assert _binomial_tail(0, 30, p) == 1.0
+            assert _binomial_tail(31, 30, p) == (1.0 if p >= 1.0 else 0.0)
+        for p in (1.0, 2.5, 1e300):
+            assert [_binomial_tail(k, 30, p) for k in (1, 15, 30)] == [1.0] * 3
+        # a bound that underflows to 0 passes no failure at all ...
+        assert union_bound_failure(1024, 0.9, 2) == 0.0
+        report = success_rate_experiment(1024, 0.9, 2, 30, RngStream(0))
+        assert (report.statistic, report.threshold, report.passed) == \
+            (0.0, 0.0, True)
+        fail_first(monkeypatch, 1)
+        assert not success_rate_experiment(1024, 0.9, 2, 30,
+                                           RngStream(0)).passed
+        # ... and a vacuous bound passes every count
+        monkeypatch.setattr(packing, "union_bound_failure", lambda *a: 2.0)
+        fail_first(monkeypatch, 30)
+        report = success_rate_experiment(2, 0.5, 2, 30, RngStream(0))
+        assert (report.statistic, report.threshold, report.passed) == \
+            (1.0, 1.0, True)
+
+    def test_hundred_million_trials_gate_quickly(self, monkeypatch):
+        # the sample cap admits 1e8 trials; with no trial run, only the
+        # gate's search over the count is timed
+        trials = limits.MAX_SAMPLE_COUNT
+        assert trials == 10 ** 8
+        monkeypatch.setattr(packing, "_in_workers", lambda work, claims: None)
+        ub = union_bound_failure(100, 0.1, 111)
+        start = time.perf_counter()
+        report = success_rate_experiment(100, 0.1, 111, trials, RngStream(0))
+        assert time.perf_counter() - start < 5.0
+        assert report.statistic == 0.0 and report.passed
+        passing = round(report.threshold * trials)
+        assert abs(passing - binom.isf(_ALPHA_3SIGMA, trials, ub)) <= 1
+        mean = trials * ub
+        for k in (int(mean) - 5000, int(mean), passing, int(mean) + 30000):
+            tail = _binomial_tail(k, trials, ub)
+            assert math.isfinite(tail)
+            assert math.isclose(tail, binom.sf(k - 1, trials, ub),
+                                rel_tol=1e-5)

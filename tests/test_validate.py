@@ -238,8 +238,6 @@ ENTRY_POINTS = {
         lambda e, w: ed.microcanonical_dim(_SPECTRUM, e, w), (0.0, 1.0)),
     "entropy_of": (ed.entropy_of, (2.0,)),
     "suppression_scale": (ed.suppression_scale, (2.0,)),
-    "EffectiveDimensionReport": (
-        lambda d: ed.EffectiveDimensionReport(d, "ipr"), (2.0,)),
     "noninteracting_qubit_spectrum": (ed.noninteracting_qubit_spectrum, (3,)),
     "StateVector": (lambda a, b: sv.StateVector([a, b]), (1.0, 0.0)),
     "Unitary": (lambda a: sv.Unitary([[a, 0], [0, 1]]), (1.0,)),
