@@ -1,12 +1,12 @@
 """Worker threads for trial loops, with numpy's BLAS held to one thread.
 
-``suppression_experiment`` and ``success_rate_experiment`` run their
-trials, and ``sample_overlaps`` its blocks of samples, through
-``_in_workers``. A trial's matrix products are already
-large enough for OpenBLAS to run them on its own helper threads, which
-then compete with the workers for the same CPUs, so while more than one
-worker runs, numpy's BLAS is held to one thread and its previous count
-is restored afterwards.
+``suppression_experiment``, ``success_rate_experiment`` and
+``sample_overlaps`` hand ``_in_workers`` a block function, which it
+calls once per span of their trials or samples. A trial's matrix
+products are already large enough for OpenBLAS to run them on its own
+helper threads, which then compete with the workers for the same CPUs,
+so while more than one worker runs, numpy's BLAS is held to one thread
+and its previous count is restored afterwards.
 """
 
 from __future__ import annotations
@@ -103,34 +103,32 @@ class _BlasHold:
 _BLAS_HOLD = _BlasHold()
 
 
-def _in_workers(work, starts) -> None:
-    """Run ``work(claims)`` on ``min(_MAX_WORKERS, _cpu_count(),
-    len(starts))`` workers: the calling thread, plus plain threads when
-    there is more than one, with numpy's BLAS held to one thread
+def _in_workers(block, total, step) -> None:
+    """Call ``block(lo, hi)`` once for each span ``[lo, min(lo + step,
+    total))`` of ``[0, total)``, on ``min(_MAX_WORKERS, _cpu_count(),
+    spans)`` workers: the calling thread, plus plain threads when there
+    is more than one, with numpy's BLAS held to one thread
     (``_BLAS_HOLD``) until every worker is joined.
 
-    ``claims`` yields the items of ``starts``, each to exactly one worker,
-    from one shared iterator. After an error every worker stops at its
-    next claim; all are joined, then the first error is raised. Each
-    thread runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in every worker.
+    Workers take spans from one shared iterator. After an error every
+    worker stops before its next span; all are joined, then the first
+    error is raised. Each thread runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` holds in every worker.
     """
+    starts = range(0, total, step)
     count = min(_MAX_WORKERS, _cpu_count(), len(starts))
     pending = iter(starts)
     lock = threading.Lock()
     errors = []
 
-    def claims():
-        while not errors:
-            with lock:
-                item = next(pending, None)
-            if item is None:
-                return
-            yield item
-
     def run():
         try:
-            work(claims())
+            while not errors:
+                with lock:
+                    lo = next(pending, None)
+                if lo is None:
+                    return
+                block(lo, min(lo + step, total))
         except BaseException as exc:   # re-raised in the caller below
             errors.append(exc)
 

@@ -291,7 +291,7 @@ def _records(model: MeasurementModel, streams, trials: int) -> np.ndarray:
     """``(trials, k, 2**n)`` records of a block of trials, in a new array:
     the one record kernel. It only draws: ``streams`` yields one stream
     per record, trial-major (item b k + i is trial b's pointer value i),
-    keyed by the caller (``generate_branches``, or a worker of
+    keyed by the caller (``generate_branches``, or a block of
     ``suppression_experiment``). The records are not unit-checked here;
     callers check them.
 
@@ -568,19 +568,17 @@ def suppression_experiment(model: MeasurementModel, trials: int,
 
     Trial t's pointer value i draws what ``rng.substream(t).substream(i)``
     draws, so the result does not depend on execution order. The streams
-    are keyed here: each worker keys a claimed block's record streams at
-    once (``RngStream._descendants``, one generator per block) and hands
-    them to ``_records``. The result's ``seed_record`` is
-    ``rng.address``. Blocks of bounded memory run on up to
-    ``_workers._MAX_WORKERS`` threads, never more than the CPUs the process
-    may use, with numpy's BLAS held to one thread while more than one runs
-    (``_workers._in_workers``). A block's arrays
-    are numpy temporaries that die with the block, and each worker writes
-    disjoint output rows, so the output bytes do not depend on the worker
-    count. Integrable trials draw nothing, so one block holding trial 0 is
-    run and its row is copied into every other trial's row. Every
-    block of records is unit-checked, and its statistics come from one
-    pass (``_block_statistics``): pair overlaps |G_ij|^2, i < j, as
+    are keyed here: each block keys its record streams at once
+    (``RngStream._descendants``, one generator per block) and hands them
+    to ``_records``. The result's ``seed_record`` is ``rng.address``.
+    Blocks of bounded memory run on the workers of
+    ``_workers._in_workers``. A block's arrays are numpy temporaries that
+    die with the block, and each block writes disjoint output rows, so
+    the output bytes do not depend on the worker count. Integrable
+    trials draw nothing, so one block holding trial 0 is run and its row
+    is copied into every other trial's row. Every block of records is
+    unit-checked, and its statistics come from one pass
+    (``_block_statistics``): pair overlaps |G_ij|^2, i < j, as
     ``typicality_ratio`` takes them, and max coherences bit-identical to
     ``max_coherence(reduced_density(...))`` on the same records. The
     output's trials x k(k-1)/2 overlaps are capped by
@@ -596,21 +594,18 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     # integrable trials draw nothing: trial 0 alone is run, and the rows
     # of the others are copies of its row
     run = 1 if model.dynamics == "integrable-product" else trials
-    step = min(_block_trials(model), run)
 
-    def work(claims):
-        """Key, draw, check and reduce the claimed blocks."""
-        for t0 in claims:
-            t1 = min(t0 + step, run)
-            # row (t, i) keys trial t's pointer value i, trial-major
-            streams = rng._descendants(np.column_stack(
-                np.divmod(np.arange(t0 * k, t1 * k), k)))
-            block = _records(model, streams, t1 - t0)
-            _check_unit_rows(block)
-            _block_statistics(c, block, pair_overlaps[t0:t1],
-                              max_coherences[t0:t1])
+    def block(t0, t1):
+        """Key, draw, check and reduce trials [t0, t1)."""
+        # row (t, i) keys trial t's pointer value i, trial-major
+        streams = rng._descendants(np.column_stack(
+            np.divmod(np.arange(t0 * k, t1 * k), k)))
+        records = _records(model, streams, t1 - t0)
+        _check_unit_rows(records)
+        _block_statistics(c, records, pair_overlaps[t0:t1],
+                          max_coherences[t0:t1])
 
-    _in_workers(work, range(0, run, step))
+    _in_workers(block, run, _block_trials(model))
     pair_overlaps[run:] = pair_overlaps[0]
     max_coherences[run:] = max_coherences[0]
     return SuppressionResult(

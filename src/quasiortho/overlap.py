@@ -225,12 +225,11 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     holds samples ``[b R, min((b + 1) R, n_samples))`` and draws their
     2d real normals each, in the order of
     :func:`quasiortho.states.haar_state`, from what ``rng.substream(b)``
-    draws. Each worker keys a claimed block's stream
-    (``RngStream._descendants``) and writes its own slice of the output;
-    blocks run on up to ``_workers._MAX_WORKERS`` threads, never more than
-    the CPUs the process may use (``_workers._in_workers``), and the sort
-    follows the join. The values therefore depend only on ``d``,
-    ``n_samples`` and ``rng.address``, not on the worker count.
+    draws. Each block keys its stream (``RngStream._descendants``) and
+    writes its own slice of the output; the blocks run on the workers of
+    ``_workers._in_workers``, and the sort follows the join. The values
+    therefore depend only on ``d``, ``n_samples`` and ``rng.address``,
+    not on the worker count.
     """
     d = integer("d", d, 2)
     n_samples = integer("n_samples", n_samples, 1)
@@ -240,21 +239,19 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     rows = max(1, _SAMPLE_CHUNK_ENTRIES // d)
     out = np.empty(n_samples, dtype=float)
 
-    def work(claims):
-        """Key, draw and reduce the claimed blocks."""
-        for lo in claims:
-            hi = min(lo + rows, n_samples)
-            stream = next(rng._descendants([[lo // rows]]))
-            # squared real and imaginary parts, in place on the real view
-            # of the draw; the common 1/2 scale of the Gaussians cancels
-            x = complex_gaussians(stream, (hi - lo, d)).view(np.float64)
-            np.square(x, out=x)
-            # a row sum over the contiguous axis gives each row the same
-            # bits in any block; einsum("ij,ij->i") does not, as it sums a
-            # lone row in 8192-entry pieces once 2d exceeds that
-            out[lo:hi] = (x[:, 0] + x[:, 1]) / x.sum(axis=1)
+    def block(lo, hi):
+        """Key, draw and reduce samples [lo, hi)."""
+        stream = next(rng._descendants([[lo // rows]]))
+        # squared real and imaginary parts, in place on the real view
+        # of the draw; the common 1/2 scale of the Gaussians cancels
+        x = complex_gaussians(stream, (hi - lo, d)).view(np.float64)
+        np.square(x, out=x)
+        # a row sum over the contiguous axis gives each row the same
+        # bits in any block; einsum("ij,ij->i") does not, as it sums a
+        # lone row in 8192-entry pieces once 2d exceeds that
+        out[lo:hi] = (x[:, 0] + x[:, 1]) / x.sum(axis=1)
 
-    _in_workers(work, range(0, n_samples, rows))
+    _in_workers(block, n_samples, rows)
     out.sort()
     return EmpiricalSample(dim=d, values=out,
                            seed_record=rng.address)

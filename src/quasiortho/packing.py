@@ -54,8 +54,8 @@ _ALPHA_3SIGMA = 0.0026997960632601866
 # matrix-matrix product per batch instead of one matrix-vector product
 # per candidate. 64 measured best; 32-128 was flat.
 _GREEDY_BATCH = 64
-# Trials of success_rate_experiment that a worker claims, and whose
-# streams it keys, at once.
+# Trials in one span of success_rate_experiment, whose streams are keyed
+# at once.
 _RATE_BLOCK = 16
 
 
@@ -339,14 +339,11 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     bound guarantees.
 
     Trial t is one construction that draws what ``rng.substream(t)``
-    draws. The trials run on the worker threads that
-    ``suppression_experiment`` uses (``_workers._in_workers``): up to two,
-    never more than the CPUs the process may use, with numpy's BLAS held
-    to one thread while more than one runs. Each worker claims
-    ``_RATE_BLOCK`` trials at a time, keys their streams at once
-    (``RngStream._descendants``, one generator per block) and counts its
-    own failures; the counts are summed after the join, so the report
-    does not depend on the worker count and memory does not grow with
+    draws. The trials run in spans of ``_RATE_BLOCK`` on the workers of
+    ``_workers._in_workers``. Each span keys its streams at once
+    (``RngStream._descendants``, one generator per span) and counts its
+    failures; the counts are summed after the join, so the report does
+    not depend on the worker count and memory does not grow with
     ``trials``. The union bound caps the failure probability, so the
     failure count passes when P(Binomial(trials, min(ub, 1)) >= failures)
     is at least ``_ALPHA_3SIGMA``. The report statistic is the empirical
@@ -365,18 +362,16 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     ub = union_bound_failure(d, eps, m)
     counts = []
 
-    def work(claims):
-        """Build and certify the claimed trials; append the failures."""
+    def block(t0, t1):
+        """Build and certify trials [t0, t1); append their failures."""
         failed = 0
-        for t0 in claims:
-            tails = np.arange(t0, min(t0 + _RATE_BLOCK, trials))[:, None]
-            for stream in rng._descendants(tails):
-                mat = _haar_rows(d, m, stream)
-                max_pairwise, _ = _pairwise_stats(mat, eps)
-                failed += max_pairwise > eps
+        for stream in rng._descendants(np.arange(t0, t1)[:, None]):
+            mat = _haar_rows(d, m, stream)
+            max_pairwise, _ = _pairwise_stats(mat, eps)
+            failed += max_pairwise > eps
         counts.append(failed)
 
-    _in_workers(work, range(0, trials, _RATE_BLOCK))
+    _in_workers(block, trials, _RATE_BLOCK)
     failures = sum(counts)
     # the tail falls as the count grows: the first failing count, less one
     passing = bisect.bisect_left(

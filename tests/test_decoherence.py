@@ -750,11 +750,11 @@ class TestWorkers:
         return result.pair_overlaps.tobytes(), result.max_coherences.tobytes()
 
     @classmethod
-    def before_each_claim(cls, monkeypatch, name, hook):
-        """Call ``hook()`` ahead of the kernel that runs each claim of
+    def before_each_span(cls, monkeypatch, name, hook):
+        """Call ``hook()`` ahead of the kernel that runs each span of
         ``name``: ``_records`` in the decoherence engine, ``_haar_rows``
         in the rate experiment, where it runs once per trial, so once per
-        claim when ``packing._RATE_BLOCK`` is 1."""
+        span when ``packing._RATE_BLOCK`` is 1."""
         module, attr = ((packing, "_haar_rows") if name in cls.RATES
                         else (dc, "_records"))
         original = getattr(module, attr)
@@ -767,8 +767,8 @@ class TestWorkers:
 
     @classmethod
     def record_threads(cls, monkeypatch, name="exact-haar-k3"):
-        """Collect the threads that run the claims of ``name``; the first
-        claim lingers so that a second worker takes one meanwhile."""
+        """Collect the threads that run the spans of ``name``; the first
+        span lingers so that a second worker takes one meanwhile."""
         threads = []
 
         def hook():
@@ -776,7 +776,7 @@ class TestWorkers:
                 time.sleep(0.05)
             threads.append(threading.get_ident())
 
-        cls.before_each_claim(monkeypatch, name, hook)
+        cls.before_each_span(monkeypatch, name, hook)
         return threads
 
     # block sizes that split 37 trials into several blocks, the last
@@ -810,10 +810,10 @@ class TestWorkers:
 
     def many_workers_change_no_output(self, name, monkeypatch):
         # more workers than cores, switching threads every microsecond: a
-        # trial claimed twice or never, or a failure count lost, would
+        # trial run twice or never, or a failure count lost, would
         # change the output
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
-        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per claim
+        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per span
         monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
         serial = self.outcome(name, 200, 29)
         monkeypatch.setattr(_workers, "_MAX_WORKERS", 6)
@@ -844,7 +844,7 @@ class TestWorkers:
 
     @staticmethod
     def run_40_trials(rate, n=4):
-        """40 trials, one per claim, of the rate experiment or of an
+        """40 trials, one per span, of the rate experiment or of an
         exact-haar decohere run on n qubits."""
         if rate:
             success_rate_experiment(16, 0.5, 8, 40, RngStream(2))
@@ -858,7 +858,7 @@ class TestWorkers:
                                                     monkeypatch):
         monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
-        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per claim
+        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per span
         calls = []
 
         def hook():
@@ -866,7 +866,7 @@ class TestWorkers:
             if len(calls) == 3:
                 raise ValueError("block failed")
 
-        self.before_each_claim(monkeypatch,
+        self.before_each_span(monkeypatch,
                                "rate-mixed" if rate else "exact-haar-k3", hook)
         before = threading.active_count()
         with pytest.raises(ValueError, match="block failed"):
@@ -882,7 +882,7 @@ class TestWorkers:
                                                            monkeypatch):
         monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dc, "_BLOCK_ENTRIES", 1)   # one trial per block
-        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per claim
+        monkeypatch.setattr(packing, "_RATE_BLOCK", 1)  # one trial per span
         main = threading.main_thread()
 
         def hook():
@@ -893,7 +893,7 @@ class TestWorkers:
             else:
                 time.sleep(0.05)
 
-        self.before_each_claim(monkeypatch,
+        self.before_each_span(monkeypatch,
                                "rate-mixed" if rate else "exact-haar-k3", hook)
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):

@@ -312,7 +312,7 @@ class TestSampleOverlaps:
         real = quasiortho.overlap.complex_gaussians
 
         def draw(*args):
-            # the first block lingers so that a second worker claims one
+            # the first block lingers so that a second worker takes one
             if not threads:
                 time.sleep(0.05)
             threads.append(threading.get_ident())

@@ -635,7 +635,7 @@ class TestBinomialGate:
         # gate's search over the count is timed
         trials = limits.MAX_SAMPLE_COUNT
         assert trials == 10 ** 8
-        monkeypatch.setattr(packing, "_in_workers", lambda work, claims: None)
+        monkeypatch.setattr(packing, "_in_workers", lambda block, total, step: None)
         ub = union_bound_failure(100, 0.1, 111)
         start = time.perf_counter()
         report = success_rate_experiment(100, 0.1, 111, trials, RngStream(0))

@@ -1,7 +1,9 @@
-"""The BLAS hold of ``_workers._in_workers``: one BLAS thread while more
-than one worker runs, and the caller's thread count afterwards."""
+"""``_workers._in_workers``: each span called once, stop after an error,
+and the BLAS hold (one BLAS thread while more than one worker runs, and
+the caller's thread count afterwards)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -52,22 +54,70 @@ def blas(request, monkeypatch):
 
 
 def counts_seen(get):
-    """A ``work`` for ``_in_workers`` that records ``get()`` per claim."""
+    """A block for ``_in_workers`` that records ``get()`` per span."""
     seen = []
 
-    def work(claims):
-        for _ in claims:
-            seen.append(get())
+    def block(lo, hi):
+        seen.append(get())
 
-    return work, seen
+    return block, seen
+
+
+class TestSpans:
+    def test_each_span_is_called_once(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
+        calls = []
+        _in_workers(lambda lo, hi: calls.append((lo, hi)), 10, 4)
+        assert sorted(calls) == [(0, 4), (4, 8), (8, 10)]
+
+    @pytest.mark.parametrize("total, step", [(5, 5), (3, 8)])
+    def test_one_span_runs_in_the_caller_with_no_hold(self, total, step,
+                                                      monkeypatch):
+        fake = FakeBlas(3)
+        monkeypatch.setattr(_workers, "_blas_threads",
+                            lambda: (fake.get, fake.set))
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
+        calls = []
+
+        def block(lo, hi):
+            calls.append((lo, hi, threading.get_ident(), fake.get()))
+
+        _in_workers(block, total, step)
+        assert calls == [(0, total, threading.get_ident(), 3)]
+        assert fake.sets == []
+
+    @pytest.mark.parametrize("second", ["returns", "raises"])
+    def test_an_error_stops_the_other_worker_first_error_raised(
+            self, second, monkeypatch):
+        # one worker fails in span 0 while the other is inside span 1;
+        # the other finishes span 1 and takes no further span
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
+        other_in, failing = threading.Event(), threading.Event()
+        calls = []
+
+        def block(lo, hi):
+            calls.append(lo)
+            if lo == 0:
+                assert other_in.wait(TIMEOUT)
+                failing.set()
+                raise ValueError("first")
+            other_in.set()
+            assert failing.wait(TIMEOUT)
+            time.sleep(0.2)   # the first error is recorded meanwhile
+            if second == "raises":
+                raise RuntimeError("second")
+
+        with pytest.raises(ValueError, match="first"):
+            _in_workers(block, 50, 1)
+        assert sorted(calls) == [0, 1]
 
 
 class TestBlasHold:
     def test_one_thread_inside_and_the_count_restored_after(self, blas):
         get, _ = blas
         before = get()
-        work, seen = counts_seen(get)
-        _in_workers(work, range(8))
+        block, seen = counts_seen(get)
+        _in_workers(block, 8, 1)
         assert seen == [1] * 8
         assert get() == before
 
@@ -75,13 +125,12 @@ class TestBlasHold:
         get, _ = blas
         before = get()
 
-        def work(claims):
-            for item in claims:
-                if item == 3:
-                    raise ValueError("worker failed")
+        def block(lo, hi):
+            if lo == 3:
+                raise ValueError("worker failed")
 
         with pytest.raises(ValueError, match="worker failed"):
-            _in_workers(work, range(8))
+            _in_workers(block, 8, 1)
         assert get() == before
 
     def test_overlapping_calls_restore_only_after_the_last(self, blas):
@@ -91,19 +140,17 @@ class TestBlasHold:
         a_in, b_in, a_done = (threading.Event() for _ in range(3))
         seen_by_b = []
 
-        def work_a(claims):
-            for _ in claims:
-                a_in.set()
-                assert b_in.wait(TIMEOUT)
+        def block_a(lo, hi):
+            a_in.set()
+            assert b_in.wait(TIMEOUT)
 
-        def work_b(claims):
-            for _ in claims:
-                b_in.set()
-                assert a_done.wait(TIMEOUT)
-                seen_by_b.append(get())
+        def block_b(lo, hi):
+            b_in.set()
+            assert a_done.wait(TIMEOUT)
+            seen_by_b.append(get())
 
-        call_a = threading.Thread(target=_in_workers, args=(work_a, range(2)))
-        call_b = threading.Thread(target=_in_workers, args=(work_b, range(2)))
+        call_a = threading.Thread(target=_in_workers, args=(block_a, 2, 1))
+        call_b = threading.Thread(target=_in_workers, args=(block_b, 2, 1))
         call_a.start()
         assert a_in.wait(TIMEOUT)
         call_b.start()
@@ -120,8 +167,8 @@ class TestBlasHold:
         monkeypatch.setattr(_workers, "_blas_threads",
                             lambda: (fake.get, fake.set))
         monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
-        work, seen = counts_seen(fake.get)
-        _in_workers(work, range(8))
+        block, seen = counts_seen(fake.get)
+        _in_workers(block, 8, 1)
         assert seen == [3] * 8
         assert fake.sets == []
 
@@ -134,12 +181,12 @@ class TestBlasHold:
         try:
             assert _workers._blas_threads() is None
             if real is None:
-                _in_workers(lambda claims: list(claims), range(8))
+                _in_workers(lambda lo, hi: None, 8, 1)
                 return
             get, _ = real
             before = get()
-            work, seen = counts_seen(get)
-            _in_workers(work, range(8))
+            block, seen = counts_seen(get)
+            _in_workers(block, 8, 1)
         finally:
             # the next lookup finds the real entry points again
             _workers._blas_threads.cache_clear()
