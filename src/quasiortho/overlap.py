@@ -13,6 +13,7 @@ not underflow at d ~ 1e3-1e4.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,13 +108,31 @@ def levy_tail_bound(d: int, delta: float, lipschitz: float) -> float:
 
     Valid for any L-Lipschitz function on the unit sphere of C^d. The
     bound can exceed 1 (vacuous); it is returned as-is so callers can
-    flag vacuity (see :func:`is_vacuous`) rather than hide it.
+    flag vacuity (see :func:`is_vacuous`) rather than hide it. Where the
+    numerator or denominator of the exponent leaves the normal float
+    range, the exponent is built from binary mantissas and exponents.
     """
     d = integer("d", d, 1)
     delta = real("delta", delta, 0.0, lo_open=True)
     lipschitz = real("lipschitz", lipschitz, 0.0, lo_open=True)
-    exponent = -(2 * d - 1) * delta ** 2 / (9 * math.pi ** 3 * lipschitz ** 2)
-    return 2.0 * math.exp(exponent)
+    try:
+        num = -(2 * d - 1) * delta ** 2
+        den = 9 * math.pi ** 3 * lipschitz ** 2
+    except OverflowError:
+        num = den = math.inf
+    if (sys.float_info.min <= -num < math.inf
+            and sys.float_info.min <= den < math.inf):
+        return 2.0 * math.exp(num / den)
+    n = 2 * d - 1
+    m_delta, e_delta = math.frexp(delta)
+    m_lip, e_lip = math.frexp(lipschitz)
+    ratio = (n / (1 << n.bit_length()) * m_delta ** 2
+             / (9 * math.pi ** 3 * m_lip ** 2))
+    try:
+        exponent = math.ldexp(ratio, n.bit_length() + 2 * (e_delta - e_lip))
+    except OverflowError:
+        return 0.0
+    return 2.0 * math.exp(-exponent)
 
 
 def overlap_tail_bound(d: int, delta: float) -> float:
@@ -263,7 +282,10 @@ def ks_critical_value(alpha: float) -> float:
     c(0.01) = 1.6276; the one-sample threshold at size N is c(alpha)/sqrt(N).
     """
     alpha = real("alpha", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
-    return math.sqrt(0.5 * math.log(2.0 / alpha))
+    ratio = 2.0 / alpha   # inf for alpha below 2 / float max
+    log_ratio = (math.log(ratio) if ratio < math.inf
+                 else math.log(2.0) - math.log(alpha))
+    return math.sqrt(0.5 * log_ratio)
 
 
 def ks_test(sample: EmpiricalSample, alpha: float = 0.01) -> TestReport:

@@ -121,13 +121,17 @@ def qubit_capacity_log(n: int, eps: float) -> float:
 def union_bound_failure(d: int, eps: float, m: int) -> float:
     """Union bound (1/2) M^2 (1-eps)^(d-1) on the construction failing.
 
-    May exceed 1 (vacuous) and is reported as-is.
+    May exceed 1 (vacuous) and is reported as-is, as ``math.inf`` past
+    the float range.
     """
     d = integer("d", d, 1)
     eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     m = integer("M", m, 2)
     log_p = math.log(0.5) + 2.0 * math.log(m) + (d - 1) * math.log1p(-eps)
-    return math.exp(log_p)
+    try:
+        return math.exp(log_p)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,9 +347,9 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     ``_workers._in_workers``. Each span keys its streams at once
     (``RngStream._descendants``, one generator per span) and counts its
     failures; the counts are summed after the join, so the report does
-    not depend on the worker count and memory does not grow with
-    ``trials``. The union bound caps the failure probability, so the
-    failure count passes when P(Binomial(trials, min(ub, 1)) >= failures)
+    not depend on the worker count, and memory grows with ``trials`` by
+    one count per span only. The union bound caps the failure
+    probability, so the failure count passes when P(Binomial(trials, min(ub, 1)) >= failures)
     is at least ``_ALPHA_3SIGMA``. The report statistic is the empirical
     failure fraction and the threshold the largest passing fraction.
     ``trials`` counts against ``limits.MAX_SAMPLE_COUNT``, checked before

@@ -104,6 +104,15 @@ class TestOverlapDist:
         # the recorded seed reproduces the run
         assert run_cli(argv + ["--seed", seed], capsys) == (code, out)
 
+    def test_alpha_below_two_over_float_max(self, capsys):
+        # 2 / alpha overflows; the threshold must still be finite
+        code, out = run_cli(["overlap-dist", "--d", "16", "--trials", "200",
+                             "--seed", "1", "--alpha", "1e-320",
+                             "--format", "json", "--no-timestamp"], capsys)
+        summary = json.loads(out)["summary"]
+        assert code == (0 if summary["ks_pass"] else 1)
+        assert math.isfinite(summary["ks_threshold"])
+
     def test_reference_invocation_full_size(self, capsys):
         # the documented reference run: 1e5 samples at d=1024
         code, out = run_cli(["overlap-dist", "--d", "1024", "--trials",
@@ -139,6 +148,12 @@ class TestLevyCheck:
     def test_half_specified_point_is_usage_error(self, capsys):
         code, _ = run_cli(["levy-check", "--d", "16"], capsys)
         assert code == 2
+
+    def test_delta_whose_square_overflows(self, capsys):
+        code, out = run_cli(["levy-check", "--d", "16", "--delta", "1e200",
+                             "--no-timestamp"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "16,1e+200,0.0,0.0,false,true"
 
 
 class TestPackingBound:

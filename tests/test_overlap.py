@@ -1,8 +1,10 @@
+import itertools
 import math
 import sys
 import threading
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -158,6 +160,33 @@ class TestBounds:
     def test_overlap_bound_monotone_in_d(self):
         vals = [overlap_tail_bound(d, 0.2) for d in (2, 16, 128, 1024, 4096)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("d", [2, 10 ** 154, 10 ** 308],
+                             ids=["2", "1e154", "1e308"])
+    def test_levy_matches_a_decimal_oracle_to_the_float_range_edge(self, d):
+        # (2d-1) delta^2 and 9 pi^3 L^2 leave the float range on much of
+        # this grid; the bound must still be the correctly scaled value
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+        grid = [1e-200, 1.0, 1e150, 1e154, 1e200]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for delta, lip in itertools.product(grid, grid):
+                x = (Decimal(2 * d - 1) * Decimal(delta) ** 2
+                     / (9 * pi ** 3 * Decimal(lip) ** 2))
+                want = 2 * (-x).exp()
+                got = levy_tail_bound(d, delta, lip)
+                if float(want) in (0.0, 2.0):
+                    assert got == float(want), (delta, lip)
+                else:
+                    assert abs(Decimal(got) / want - 1) < Decimal("1e-12"), \
+                        (delta, lip, got, want)
+
+    def test_levy_where_the_denominator_overflows(self):
+        # 9 pi^3 L^2 overflows at L = 1e153 and the ratio's parts at 1e154
+        assert levy_tail_bound(2, 1e150, 1e153) == pytest.approx(
+            1.99999997849897716, rel=1e-15)
+        assert levy_tail_bound(2, 1e154, 1e154) == pytest.approx(
+            1.97861413749421152, rel=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -370,6 +399,16 @@ class TestSampleOverlaps:
 class TestKsTest:
     def test_critical_value_matches_published_constant(self):
         assert abs(ks_critical_value(0.01) - 1.628) < 1e-3
+
+    def test_critical_value_past_two_over_float_max(self):
+        # 2 / alpha overflows below alpha = 2 / float max
+        alphas = [1.2e-308, 2 / sys.float_info.max, 1e-308, 1e-320, 5e-324]
+        values = [ks_critical_value(a) for a in alphas]
+        assert all(math.isfinite(v) for v in values)
+        assert all(a < b for a, b in zip(values, values[1:]))
+        for alpha, value in zip(alphas, values):
+            want = math.sqrt(0.5 * (math.log(2.0) - math.log(alpha)))
+            assert value == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_inverse_transform_sample_passes(self):
         # independent sampling path: X = 1 - U^(1/(d-1)) has exactly the

@@ -182,6 +182,10 @@ class TestUnionBound:
         with pytest.raises(ValueError):
             union_bound_failure(10, 0.1, 1)
 
+    def test_past_the_float_range_is_inf(self):
+        # log p = 1380: a vacuous bound, as-is, not an OverflowError
+        assert union_bound_failure(2, 0.5, 10 ** 300) == math.inf
+
 
 class TestRandomCodingConstruct:
     def test_singleton_always_succeeds(self):
