@@ -284,7 +284,7 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
         worst = np.zeros(b)
         step = max(1, _GRAM_BLOCK_ENTRIES // b)
         for lo in range(0, size, step):
-            cross = buffer[lo:min(lo + step, size)] @ cand_conj_t
+            cross = buffer[:size][lo:lo + step] @ cand_conj_t
             cross = np.abs(cross, out=moduli[:cross.size].reshape(cross.shape))
             np.maximum(worst, cross.max(axis=0), out=worst)
         # the max modulus squared is the max squared overlap bit for bit
