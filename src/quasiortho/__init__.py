@@ -6,129 +6,21 @@ environments, and effective-dimension accounting, with a CLI that runs
 and serializes every experiment.
 """
 
-from .rng import RngStream
+from .rng import *
 from .limits import ResourceLimitError
-from .states import (
-    StateVector,
-    Unitary,
-    basis_state,
-    haar_state,
-    inner,
-    overlap_sq,
-    chordal_distance,
-    haar_unitary,
-    apply,
-    tensor,
-    apply_local,
-)
-from .overlap import (
-    OverlapDistribution,
-    EmpiricalSample,
-    TestReport,
-    pdf,
-    cdf,
-    survival,
-    mean,
-    levy_tail_bound,
-    overlap_tail_bound,
-    two_sided_exact_tail,
-    is_vacuous,
-    sample_overlaps,
-    ks_test,
-    ks_critical_value,
-    wilson_interval,
-)
-from .packing import (
-    QuasiOrthogonalFamily,
-    PackingReport,
-    lower_bound,
-    log_lower_bound,
-    qubit_capacity_log,
-    union_bound_failure,
-    random_coding_construct,
-    greedy_construct,
-    verify,
-    success_rate_experiment,
-)
-from .decoherence import (
-    MeasurementModel,
-    BranchSet,
-    ReducedDensityMatrix,
-    SuppressionResult,
-    generate_branches,
-    gram_matrix,
-    reduced_density,
-    max_coherence,
-    typicality_ratio,
-    suppression_experiment,
-    integrable_overlap_exact,
-)
-from .effective_dim import (
-    Spectrum,
-    microcanonical_dim,
-    entropy_of,
-    ipr_dimension,
-    suppression_scale,
-    noninteracting_qubit_spectrum,
-)
+from .states import *
+from .overlap import *
+from .packing import *
+from .decoherence import *
+from .effective_dim import *
 
+# a literal, so pyproject.toml's dynamic version is read without importing
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "RngStream",
-    "ResourceLimitError",
-    "StateVector",
-    "Unitary",
-    "basis_state",
-    "haar_state",
-    "inner",
-    "overlap_sq",
-    "chordal_distance",
-    "haar_unitary",
-    "apply",
-    "tensor",
-    "apply_local",
-    "OverlapDistribution",
-    "EmpiricalSample",
-    "TestReport",
-    "pdf",
-    "cdf",
-    "survival",
-    "mean",
-    "levy_tail_bound",
-    "overlap_tail_bound",
-    "two_sided_exact_tail",
-    "is_vacuous",
-    "sample_overlaps",
-    "ks_test",
-    "ks_critical_value",
-    "wilson_interval",
-    "QuasiOrthogonalFamily",
-    "PackingReport",
-    "lower_bound",
-    "log_lower_bound",
-    "qubit_capacity_log",
-    "union_bound_failure",
-    "random_coding_construct",
-    "greedy_construct",
-    "verify",
-    "success_rate_experiment",
-    "MeasurementModel",
-    "BranchSet",
-    "ReducedDensityMatrix",
-    "SuppressionResult",
-    "generate_branches",
-    "gram_matrix",
-    "reduced_density",
-    "max_coherence",
-    "typicality_ratio",
-    "suppression_experiment",
-    "integrable_overlap_exact",
-    "Spectrum",
-    "microcanonical_dim",
-    "entropy_of",
-    "ipr_dimension",
-    "suppression_scale",
-    "noninteracting_qubit_spectrum",
-]
+__all__ = ["__version__", "ResourceLimitError"]
+__all__ += rng.__all__
+__all__ += states.__all__
+__all__ += overlap.__all__
+__all__ += packing.__all__
+__all__ += decoherence.__all__
+__all__ += effective_dim.__all__
