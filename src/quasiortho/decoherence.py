@@ -115,6 +115,8 @@ class MeasurementModel:
             depth = 4 * self.env_qubits if self.depth is None else \
                 integer("circuit depth", self.depth, 1)
             object.__setattr__(self, "depth", depth)
+            # one trial's gate entries, before any site list or gate exists
+            limits.check_sample_count(16 * k * _gate_count(self))
         elif self.depth is not None:
             raise ValueError("depth only applies to chaotic-circuit dynamics")
 
@@ -275,6 +277,13 @@ def _brickwork(model: MeasurementModel) -> list:
             for q in range(layer % 2, model.env_qubits - 1, 2)]
 
 
+def _gate_count(model: MeasurementModel) -> int:
+    """``len(_brickwork(model))`` in closed form: ceil(depth / 2) even
+    layers of n // 2 gates and depth // 2 odd ones of (n - 1) // 2."""
+    n, depth = model.env_qubits, model.depth
+    return (depth + 1) // 2 * (n // 2) + depth // 2 * ((n - 1) // 2)
+
+
 def _block_trials(model: MeasurementModel) -> int:
     """Trials per block: as many as fit ``_BLOCK_ENTRIES``, at least one.
 
@@ -282,7 +291,7 @@ def _block_trials(model: MeasurementModel) -> int:
     ``_block_statistics``'s Gram, rho and moduli stay bounded at large k.
     """
     k = model.pointer_count
-    gates = len(_brickwork(model)) if model.dynamics == "chaotic-circuit" else 0
+    gates = _gate_count(model) if model.dynamics == "chaotic-circuit" else 0
     per_trial = k * (model.env_dim + 16 * gates + k)
     return max(1, _BLOCK_ENTRIES // per_trial)
 

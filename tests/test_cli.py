@@ -357,6 +357,12 @@ class TestDecohere:
         err = capsys.readouterr().err
         assert "2**20000" in err and "MAX_STATE_DIM" in err
 
+    def test_huge_depth_is_resource_error(self, capsys):
+        assert main(["decohere", "--n", "2", "--dynamics", "chaotic-circuit",
+                     "--depth", "1000000000", "--seed", "1"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_trials_over_the_sample_cap_exit_3_before_drawing(
             self, monkeypatch, tmp_path):
         draws = []

@@ -250,6 +250,40 @@ class TestMeasurementModel:
             MeasurementModel(pointer_count=2, coefficients=UNIFORM2,
                              env_qubits=10 ** 6, dynamics="exact-haar")
 
+    def test_gate_count_is_the_brickwork_length(self):
+        for n in range(2, 10):
+            for depth in range(1, 12):
+                m = MeasurementModel(pointer_count=2, coefficients=UNIFORM2,
+                                     env_qubits=n, dynamics="chaotic-circuit",
+                                     depth=depth)
+                assert dc._gate_count(m) == len(dc._brickwork(m)), (n, depth)
+
+    def test_huge_depth_is_refused_before_any_site_list(self):
+        # 10**15 layers would be 5e14 sites: the cap must come first
+        cfg = {"pointer_count": 2, "coefficients": [0.6, 0.8],
+               "env_qubits": 2, "dynamics": "chaotic-circuit",
+               "depth": 10 ** 15}
+        for build in (lambda: MeasurementModel.from_config(cfg),
+                      lambda: MeasurementModel(
+                          pointer_count=2, coefficients=UNIFORM2,
+                          env_qubits=2, dynamics="chaotic-circuit",
+                          depth=10 ** 15)):
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match="exceeds cap"):
+                build()
+            assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_depth_cap_counts_one_trials_gate_entries(self, k, monkeypatch):
+        # n=5, depth=7: 4 even layers of 2 gates and 3 odd ones of 2
+        coeffs = np.full(k, 1 / math.sqrt(k))
+        monkeypatch.setattr(dc.limits, "MAX_SAMPLE_COUNT", 16 * k * 14)
+        model = dict(pointer_count=k, coefficients=coeffs, env_qubits=5,
+                     dynamics="chaotic-circuit")
+        MeasurementModel(**model, depth=7)
+        with pytest.raises(ResourceLimitError):
+            MeasurementModel(**model, depth=8)
+
     @pytest.mark.parametrize("cap", [2, 3, 10_000, 2 ** 14])
     def test_qubit_cap_is_the_dimension_cap(self, cap, monkeypatch):
         monkeypatch.setattr(dc.limits, "MAX_STATE_DIM", cap)
