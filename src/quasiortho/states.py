@@ -3,11 +3,8 @@
 Conventions fixed here and used throughout the library:
 
 * amplitudes are stored as contiguous complex128 arrays;
-* the inner product ``inner(psi, phi)`` is conjugate-linear in ``phi``,
-  i.e. it returns <phi|psi>;
 * for ``2**n``-dimensional states, qubit 0 is the most significant bit of
-  the amplitude index;
-* tensor products are row-major with the first factor on the slow index.
+  the amplitude index.
 """
 
 from __future__ import annotations
@@ -26,12 +23,8 @@ __all__ = [
     "Unitary",
     "basis_state",
     "haar_state",
-    "inner",
     "overlap_sq",
-    "chordal_distance",
     "haar_unitary",
-    "apply",
-    "tensor",
     "apply_local",
     "complex_gaussians",
 ]
@@ -229,20 +222,15 @@ def _haar_rows(d: int, m: int, rng: RngStream) -> np.ndarray:
     return g
 
 
-def inner(psi: StateVector, phi: StateVector) -> complex:
-    """Hermitian inner product <phi|psi>, conjugate-linear in ``phi``."""
-    if psi.dim != phi.dim:
-        raise ValueError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    return complex(np.vdot(phi.amplitudes, psi.amplitudes))
-
-
 def overlap_sq(psi: StateVector, phi: StateVector) -> float:
     """Squared overlap |<phi|psi>|^2 in [0, 1].
 
     Round-off excess above 1 is clamped only when below ``CLAMP_ATOL``;
     larger excess indicates out-of-contract inputs and is returned as-is.
     """
-    v = abs(inner(psi, phi)) ** 2
+    if psi.dim != phi.dim:
+        raise ValueError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
+    v = abs(complex(np.vdot(phi.amplitudes, psi.amplitudes))) ** 2
     if 1.0 < v <= 1.0 + CLAMP_ATOL:
         return 1.0
     return v
@@ -269,13 +257,6 @@ def _gram_blocks(rows: np.ndarray):
         block = np.abs(gram, out=moduli[:gram.size].reshape(gram.shape))
         del gram  # only one complex block is alive at a time
         yield i0, block
-
-
-def chordal_distance(psi: StateVector, phi: StateVector) -> float:
-    """Euclidean (chordal) distance ||psi - phi||, in [0, 2]."""
-    if psi.dim != phi.dim:
-        raise ValueError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    return float(np.linalg.norm(psi.amplitudes - phi.amplitudes))
 
 
 def haar_unitary(d: int, rng: RngStream) -> Unitary:
@@ -312,26 +293,12 @@ def _haar_unitaries(d: int, count: int, rng: RngStream) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def apply(u: Unitary, psi: StateVector) -> StateVector:
-    """Matrix-vector action U|psi>; preserves the norm."""
-    if u.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: U dim {u.dim} vs state dim {psi.dim}")
-    return StateVector(u.entries @ psi.amplitudes)
-
-
-def tensor(psi: StateVector, phi: StateVector) -> StateVector:
-    """Tensor product psi (x) phi, first factor on the slow index."""
-    combined = psi.dim * phi.dim
-    limits.check_state_dim(combined)
-    return StateVector(np.kron(psi.amplitudes, phi.amplitudes))
-
-
 def apply_local(u_small: Unitary, targets, psi: StateVector) -> StateVector:
     """Apply a small unitary to selected qubits of an n-qubit state.
 
-    Equivalent to ``apply(I (x) ... (x) u_small (x) ... (x) I, psi)``
-    under the qubit-0-is-most-significant-bit ordering, without forming
-    the dense ``2**n x 2**n`` operator. The order of ``targets`` maps the
+    Equivalent to the product of ``I (x) ... (x) u_small (x) ... (x) I``
+    with ``psi`` under the qubit-0-is-most-significant-bit ordering,
+    without forming the dense ``2**n x 2**n`` operator. The order of ``targets`` maps the
     qubits of ``u_small`` onto the qubits of ``psi``.
 
     Parameters

@@ -10,15 +10,11 @@ from quasiortho import (
     RngStream,
     StateVector,
     Unitary,
-    apply,
     apply_local,
     basis_state,
-    chordal_distance,
     haar_state,
     haar_unitary,
-    inner,
     overlap_sq,
-    tensor,
 )
 import quasiortho.states
 from quasiortho import QuasiOrthogonalFamily, limits
@@ -83,32 +79,9 @@ class TestStateVector:
 
 
 class TestInnerAndOverlap:
-    def test_self_inner_is_one(self):
-        s = haar_state(16, RngStream(0))
-        assert abs(inner(s, s) - 1.0) < 1e-10
-
-    def test_orthonormal_basis(self):
-        e1, e2 = basis_state(4, 0), basis_state(4, 1)
-        assert inner(e1, e2) == 0
-
-    def test_superposition_projection(self):
-        e1, e2 = basis_state(2, 0), basis_state(2, 1)
-        psi = StateVector((e1.amplitudes + e2.amplitudes) / math.sqrt(2))
-        assert abs(inner(psi, e1) - 1 / math.sqrt(2)) < 1e-15
-
-    def test_conjugate_linearity_side(self):
-        # inner(psi, phi) = <phi|psi> conjugates the second argument
-        psi = StateVector(np.array([0.0, 1j]))
-        phi = StateVector(np.array([0.0, 1.0]))
-        assert abs(inner(psi, phi) - 1j) < 1e-15
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            inner(basis_state(2), basis_state(4))
-        with pytest.raises(ValueError):
             overlap_sq(basis_state(2), basis_state(4))
-        with pytest.raises(ValueError):
-            chordal_distance(basis_state(2), basis_state(4))
 
     def test_overlap_examples(self):
         e1, e2 = basis_state(2, 0), basis_state(2, 1)
@@ -117,13 +90,6 @@ class TestInnerAndOverlap:
         assert abs(overlap_sq(s, s) - 1.0) < 1e-10
         assert overlap_sq(e1, e2) == 0.0
         assert abs(overlap_sq(psi, e1) - 0.5) < 1e-15
-
-    def test_chordal_examples(self):
-        e1, e2 = basis_state(3, 0), basis_state(3, 1)
-        minus = StateVector(-e1.amplitudes)
-        assert chordal_distance(e1, e1) == 0.0
-        assert abs(chordal_distance(e1, e2) - math.sqrt(2)) < 1e-15
-        assert abs(chordal_distance(e1, minus) - 2.0) < 1e-15
 
 
 class TestHaarState:
@@ -184,7 +150,7 @@ class TestHaarUnitary:
         hits = 0
         for _ in range(n_draws):
             u = haar_unitary(d, rng)
-            if overlap_sq(apply(u, e1), e1) >= eps:
+            if overlap_sq(StateVector(u.entries @ e1.amplitudes), e1) >= eps:
                 hits += 1
         from quasiortho import wilson_interval
         lo, hi = wilson_interval(hits, n_draws, alpha=0.01)
@@ -196,8 +162,8 @@ class TestHaarUnitary:
         v = haar_unitary(d, RngStream(1, 0))
         e1 = basis_state(d, 0)
         rng_a, rng_b = RngStream(1, 1), RngStream(1, 2)
-        a = np.array([overlap_sq(apply(v, haar_state(d, rng_a)), e1)
-                      for _ in range(n)])
+        a = np.array([overlap_sq(StateVector(
+            v.entries @ haar_state(d, rng_a).amplitudes), e1) for _ in range(n)])
         b = np.array([overlap_sq(haar_state(d, rng_b), e1) for _ in range(n)])
         assert ks_2samp(a, b).pvalue > 0.01
 
@@ -430,54 +396,6 @@ class TestGateKernel:
                                   moveaxis_reference(gates[b], targets, amps[b]))
 
 
-class TestApply:
-    def test_identity(self):
-        s = haar_state(8, RngStream(0))
-        out = apply(Unitary(np.eye(8)), s)
-        assert np.allclose(out.amplitudes, s.amplitudes, atol=1e-15)
-
-    def test_permutation(self):
-        perm = np.eye(3)[[1, 0, 2]]
-        out = apply(Unitary(perm), basis_state(3, 0))
-        assert np.allclose(out.amplitudes, basis_state(3, 1).amplitudes)
-
-    def test_norm_preserved(self):
-        for seed in range(5):
-            rng = RngStream(seed)
-            u = haar_unitary(32, rng)
-            s = haar_state(32, rng)
-            out = apply(u, s)
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(Unitary(np.eye(2)), basis_state(4))
-
-
-class TestTensor:
-    def test_basis_product(self):
-        out = tensor(basis_state(2, 0), basis_state(3, 0))
-        assert np.allclose(out.amplitudes, basis_state(6, 0).amplitudes)
-
-    def test_norms_multiply(self):
-        a = haar_state(4, RngStream(1))
-        b = haar_state(8, RngStream(2))
-        out = tensor(a, b)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
-    def test_row_major_ordering(self):
-        e1, e2 = basis_state(2, 0), basis_state(2, 1)
-        psi = StateVector((e1.amplitudes + e2.amplitudes) / math.sqrt(2))
-        out = tensor(psi, e1)
-        expected = np.array([1, 0, 1, 0]) / math.sqrt(2)
-        assert np.allclose(out.amplitudes, expected, atol=1e-15)
-
-    def test_combined_dimension_cap(self):
-        a = basis_state(2 ** 8)
-        with pytest.raises(ResourceLimitError):
-            tensor(a, basis_state(2 ** 8))
-
-
 class TestApplyLocal:
     def test_identity_any_target(self):
         s = haar_state(8, RngStream(4))
@@ -553,17 +471,13 @@ def test_overlap_lipschitz_bound():
     for i in range(100):
         a, c = StateVector(psi[i]), StateVector(chi[i])
         lhs = abs(overlap_sq(a, phi_ref) - overlap_sq(c, phi_ref))
-        assert lhs <= 2.0 * chordal_distance(a, c) + 1e-12
+        assert lhs <= 2.0 * np.linalg.norm(a.amplitudes - c.amplitudes) + 1e-12
 
 
 def test_output_normalization_across_operations():
     rng = RngStream(55)
-    s = haar_state(16, rng)
-    u = haar_unitary(16, rng)
     outputs = [
         haar_state(64, rng),
-        apply(u, s),
-        tensor(s, basis_state(4)),
         apply_local(haar_unitary(4, rng), (1, 2), haar_state(16, rng)),
     ]
     for out in outputs:
