@@ -103,7 +103,7 @@ class MeasurementModel:
 
         object.__setattr__(self, "env_qubits",
                            integer("env_qubits", self.env_qubits, 1))
-        limits.check_state_qubits(self.env_qubits)
+        limits.check_state_qubits("env_qubits", self.env_qubits)
 
         if self.dynamics not in DYNAMICS:
             raise ValueError(
@@ -116,7 +116,9 @@ class MeasurementModel:
                 integer("circuit depth", self.depth, 1)
             object.__setattr__(self, "depth", depth)
             # one trial's gate entries, before any site list or gate exists
-            limits.check_sample_count(16 * k * _gate_count(self))
+            limits.check_sample_count(
+                f"gate entries per trial at depth {depth}",
+                16 * k * _gate_count(self))
         elif self.depth is not None:
             raise ValueError("depth only applies to chaotic-circuit dynamics")
 
@@ -596,7 +598,7 @@ def suppression_experiment(model: MeasurementModel, trials: int,
     trials = integer("trials", trials, 30)
     k = model.pointer_count
     pairs = k * (k - 1) // 2
-    limits.check_sample_count(trials * pairs)
+    limits.check_sample_count("trials * k(k-1)/2", trials * pairs)
     pair_overlaps = np.empty((trials, pairs), dtype=float)
     max_coherences = np.empty(trials, dtype=float)
     c = model.coefficients

@@ -164,6 +164,7 @@ def noninteracting_qubit_spectrum(n: int) -> Spectrum:
     # so a huge n forms no huge integer
     if n >= limits.MAX_SAMPLE_COUNT.bit_length():
         raise limits.ResourceLimitError(
-            f"2**{n} levels exceed the sample cap {limits.MAX_SAMPLE_COUNT}")
+            f"2**{n} levels exceed the sample cap {limits.MAX_SAMPLE_COUNT} "
+            "(raise quasiortho.limits.MAX_SAMPLE_COUNT to override)")
     return Spectrum(np.repeat(np.arange(n + 1.0),
                               [math.comb(n, m) for m in range(n + 1)]))

@@ -253,8 +253,8 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
     d = integer("d", d, 2)
     n_samples = integer("n_samples", n_samples, 1)
     # a block holds at least one d-entry state
-    limits.check_state_dim(d)
-    limits.check_sample_count(n_samples)
+    limits.check_state_dim("d", d)
+    limits.check_sample_count("n_samples", n_samples)
     rows = max(1, _SAMPLE_CHUNK_ENTRIES // d)
     out = np.empty(n_samples, dtype=float)
 

@@ -229,9 +229,9 @@ def random_coding_construct(d: int, eps: float, m: int,
     m = integer("M", m, 1)
     d = integer("d", d, 1)
     eps = real("eps", eps, 0.0, 1.0, hi_open=True)
-    limits.check_state_dim(d)
-    limits.check_sample_count(m * d)
-    limits.check_pairwise_ops(m, d)
+    limits.check_state_dim("d", d)
+    limits.check_sample_count("M * d", m * d)
+    limits.check_pairwise_ops("M", m, d)
     mat = _haar_rows(d, m, rng)
     max_pairwise, failure_pair = _pairwise_stats(mat, eps)
     success = max_pairwise <= eps
@@ -262,14 +262,17 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     time whatever ``target_m``.
 
     Always returns a certified family; it may be shorter than
-    ``target_m`` when the attempt budget runs out.
+    ``target_m`` when the attempt budget runs out. ``max_attempts``
+    counts against ``limits.MAX_SAMPLE_COUNT``, checked before anything
+    is drawn.
     """
     target_m = integer("target_m", target_m, 1)
     max_attempts = integer("max_attempts", max_attempts, target_m)
     d = integer("d", d, 1)
     eps = real("eps", eps, 0.0, 1.0, hi_open=True)
-    limits.check_state_dim(d)
-    limits.check_pairwise_ops(target_m, d)
+    limits.check_state_dim("d", d)
+    limits.check_sample_count("max_attempts", max_attempts)
+    limits.check_pairwise_ops("target_m", target_m, d)
     buffer = np.empty((target_m, d), dtype=np.complex128)
     # a slice of the cross check has at most max(_GRAM_BLOCK_ENTRIES, b)
     # moduli, and fewer than target_m * b
@@ -306,7 +309,7 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
 def verify(family: QuasiOrthogonalFamily) -> tuple[float, bool]:
     """Exact all-pairs certification: the maximum pairwise squared overlap
     and whether it is within ``family.eps``. The family is not changed."""
-    limits.check_pairwise_ops(family.size, family.dim)
+    limits.check_pairwise_ops("family size", family.size, family.dim)
     max_pairwise, _ = _pairwise_stats(family.rows, family.eps)
     return max_pairwise, max_pairwise <= family.eps
 
@@ -359,10 +362,10 @@ def success_rate_experiment(d: int, eps: float, m: int, trials: int,
     d = integer("d", d, 1)
     eps = real("eps", eps, 0.0, 1.0, hi_open=True)
     m = integer("M", m, 2)
-    limits.check_state_dim(d)
-    limits.check_sample_count(m * d)
-    limits.check_sample_count(trials)
-    limits.check_pairwise_ops(m, d)
+    limits.check_state_dim("d", d)
+    limits.check_sample_count("M * d", m * d)
+    limits.check_sample_count("trials", trials)
+    limits.check_pairwise_ops("M", m, d)
     ub = union_bound_failure(d, eps, m)
     counts = []
 

@@ -89,7 +89,7 @@ class Unitary:
         mat = frozen_array("entries", self.entries, np.complex128, 2)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("entries must be a square matrix")
-        limits.check_unitary_dim(mat.shape[0])
+        limits.check_unitary_dim("dimension of entries", mat.shape[0])
         _check_unitary(mat)
         object.__setattr__(self, "entries", mat)
 
@@ -104,7 +104,7 @@ def _unit_rows(name: str, value, ndim: int) -> np.ndarray:
     ``limits.MAX_STATE_DIM`` entries: the rule of every holder of
     states."""
     rows = frozen_array(name, value, np.complex128, ndim)
-    limits.check_state_dim(rows.shape[-1])
+    limits.check_state_dim(f"dimension of {name}", rows.shape[-1])
     _check_unit_rows(rows)
     return rows
 
@@ -196,7 +196,7 @@ def haar_state(d: int, rng: RngStream) -> StateVector:
         Source of randomness; the call consumes 2d real normals.
     """
     d = integer("d", d, 1)
-    limits.check_state_dim(d)
+    limits.check_state_dim("d", d)
     return StateVector(_haar_rows(d, 1, rng)[0])
 
 
@@ -277,7 +277,7 @@ def haar_unitary(d: int, rng: RngStream) -> Unitary:
         chaotic-circuit branch) is bit-identical to G sequential calls.
     """
     d = integer("d", d, 1)
-    limits.check_unitary_dim(d)
+    limits.check_unitary_dim("d", d)
     return Unitary(_haar_unitaries(d, 1, rng)[0])
 
 

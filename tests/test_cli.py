@@ -732,6 +732,26 @@ def test_integer_beyond_the_float_range_is_usage_error(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["packing", "build", "--d", "64", "--eps", "1e-15", "--M", "3",
+      "--method", "greedy", "--max-attempts", "1000000000000"],
+     "max_attempts"),
+    (["decohere", "--n", "2", "--dynamics", "chaotic-circuit",
+      "--depth", "1000000000"], "depth"),
+    (["packing", "build", "--d", "2", "--eps", "0.5", "--M", "2",
+      "--trials", "100000001"], "trials"),
+], ids=["greedy-max-attempts", "circuit-depth", "rate-trials"])
+def test_resource_error_names_what_passed_the_cap(argv, name, capsys):
+    assert main(argv + ["--seed", "2", "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert name in lines[0] and "exceeds cap" in lines[0], lines
+    assert lines[0].endswith(
+        "(raise quasiortho.limits.MAX_SAMPLE_COUNT to override)"), lines
+
+
 def test_unknown_flag_is_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "quasiortho.cli", "levy-check", "--bogus"],

@@ -290,9 +290,9 @@ class TestMeasurementModel:
         for n in range(1, 20):
             if 2 ** n > cap:
                 with pytest.raises(ResourceLimitError):
-                    dc.limits.check_state_qubits(n)
+                    dc.limits.check_state_qubits("n", n)
             else:
-                dc.limits.check_state_qubits(n)
+                dc.limits.check_state_qubits("n", n)
 
     def test_callers_coefficients_stay_writable(self):
         coeffs = np.array([0.6, 0.8], dtype=np.complex128)

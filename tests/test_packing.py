@@ -257,6 +257,14 @@ class TestGreedyConstruct:
         with pytest.raises(ValueError):
             greedy_construct(4, 0.1, 10, 5, RngStream(0))
 
+    def test_max_attempts_count_against_the_sample_cap(self):
+        # refused before the first draw, not after 10**8 attempts
+        rng = RngStream(0)
+        before = rng.generator.bit_generator.state
+        with pytest.raises(ResourceLimitError, match="max_attempts"):
+            greedy_construct(4, 0.1, 2, limits.MAX_SAMPLE_COUNT + 1, rng)
+        assert rng.generator.bit_generator.state == before
+
 
 def greedy_reference(d, eps, target_m, max_attempts, rng):
     """The one-candidate-at-a-time loop ``greedy_construct`` batches:
