@@ -298,8 +298,8 @@ def apply_local(u_small: Unitary, targets, psi: StateVector) -> StateVector:
 
     Equivalent to the product of ``I (x) ... (x) u_small (x) ... (x) I``
     with ``psi`` under the qubit-0-is-most-significant-bit ordering,
-    without forming the dense ``2**n x 2**n`` operator. The order of ``targets`` maps the
-    qubits of ``u_small`` onto the qubits of ``psi``.
+    without forming the dense ``2**n x 2**n`` operator. The order of
+    ``targets`` maps the qubits of ``u_small`` onto the qubits of ``psi``.
 
     Parameters
     ----------
