@@ -140,7 +140,7 @@ def cmd_overlap_dist(args) -> tuple:
     # checked before the draw, which would otherwise run to completion;
     # more bins than samples leave bins empty, and an unbounded count
     # runs out of memory only after the whole draw
-    trials = integer("--trials", args.trials, ov.KS_MIN_SAMPLES)
+    trials = integer("--trials", args.trials, 1)
     integer("--bins", args.bins, 1, trials)
     ov.ks_critical_value(args.alpha)
     seed = _resolve_seed(args)

@@ -42,8 +42,6 @@ __all__ = [
     "wilson_interval",
 ]
 
-# Minimum sample size for the asymptotic Kolmogorov critical value.
-KS_MIN_SAMPLES = 100
 # Complex entries per block of sample_overlaps (2 MB, about an L2 cache),
 # so each worker holds O(d) memory beyond the output whatever the sample
 # size. It fixes which samples a block's stream draws: changing it
@@ -277,9 +275,11 @@ def sample_overlaps(d: int, n_samples: int, rng: RngStream) -> EmpiricalSample:
 
 
 def ks_critical_value(alpha: float) -> float:
-    """Asymptotic Kolmogorov critical value c(alpha) = sqrt(ln(2/alpha)/2).
+    """Kolmogorov critical value c(alpha) = sqrt(ln(2/alpha)/2).
 
-    c(0.01) = 1.6276; the one-sample threshold at size N is c(alpha)/sqrt(N).
+    c(0.01) = 1.6276; the one-sample threshold at size N is c(alpha)/sqrt(N),
+    the Dvoretzky-Kiefer-Wolfowitz bound with Massart's constant,
+    P(D_N > eps) <= 2 exp(-2 N eps^2): its size is at most alpha at every N.
     """
     alpha = real("alpha", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
     ratio = 2.0 / alpha   # inf for alpha below 2 / float max
@@ -291,14 +291,11 @@ def ks_critical_value(alpha: float) -> float:
 def ks_test(sample: EmpiricalSample, alpha: float = 0.01) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against the Beta(1, d-1) CDF.
 
-    Requires at least ``KS_MIN_SAMPLES`` values (the critical value is
-    asymptotic). The statistic is sup_x |ECDF(x) - F(x)|.
+    The statistic is sup_x |ECDF(x) - F(x)|. The threshold is the DKW
+    bound with Massart's constant (:func:`ks_critical_value`), so the
+    test's size is at most alpha at every sample size.
     """
     n = sample.count
-    if n < KS_MIN_SAMPLES:
-        raise ValueError(
-            f"KS test needs at least {KS_MIN_SAMPLES} samples, got {n}"
-        )
     threshold = ks_critical_value(alpha) / math.sqrt(n)
     f = cdf(sample.dim, sample.values)
     i = np.arange(1, n + 1, dtype=float)

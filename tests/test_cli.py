@@ -60,12 +60,16 @@ class TestOverlapDist:
         code, _ = run_cli(["overlap-dist", "--d", "1", "--seed", "1"], capsys)
         assert code == 2
 
-    def test_trials_below_ks_minimum_is_usage_error(self, capsys):
-        code, _ = run_cli(["overlap-dist", "--d", "16", "--trials", "50",
-                           "--seed", "1"], capsys)
-        assert code == 2
+    def test_thirty_trials_run_the_ks_test(self, capsys):
+        # the KS threshold holds at every n, so --trials needs only be >= 1
+        code, out = run_cli(["overlap-dist", "--d", "16", "--trials", "30",
+                             "--bins", "10", "--seed", "1", "--format",
+                             "json", "--no-timestamp"], capsys)
+        summary = json.loads(out)["summary"]
+        assert summary["n_samples"] == 30
+        assert code == (0 if summary["ks_pass"] else 1)
 
-    @pytest.mark.parametrize("flag", [["--alpha", "nan"], ["--trials", "99"]])
+    @pytest.mark.parametrize("flag", [["--alpha", "nan"], ["--trials", "0"]])
     def test_bad_ks_input_is_rejected_before_sampling(self, flag, monkeypatch):
         calls = []
         monkeypatch.setattr("quasiortho.overlap.sample_overlaps",

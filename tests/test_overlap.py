@@ -15,6 +15,7 @@ from scipy.stats import ks_2samp, norm
 
 import quasiortho.limits
 import quasiortho.overlap
+import quasiortho.packing
 from quasiortho import _workers
 from quasiortho import (
     EmpiricalSample,
@@ -433,10 +434,25 @@ class TestKsTest:
         b = EmpiricalSample(64, np.sort(shuffled), (5, 0))
         assert ks_test(a).statistic == ks_test(b).statistic
 
-    def test_undersized_sample_rejected(self):
-        sample = EmpiricalSample(8, np.sort(np.linspace(0.01, 0.2, 50)), (0, 0))
-        with pytest.raises(ValueError):
-            ks_test(sample)
+    @pytest.mark.parametrize("alpha", [0.01, 0.0027])
+    def test_small_samples_get_the_dkw_threshold(self, alpha):
+        # c(alpha)/sqrt(n) is the DKW-Massart bound, valid at every n
+        draws = np.random.default_rng(7).beta(1, 7, size=99)
+        for n in range(1, 100):
+            sample = EmpiricalSample(8, np.sort(draws[:n]), (7, 0))
+            report = ks_test(sample, alpha=alpha)
+            assert report.threshold == ks_critical_value(alpha) / math.sqrt(n)
+            assert 0.0 < report.statistic <= 1.0
+
+    def test_size_at_thirty_samples_is_at_most_alpha(self):
+        # 2000 runs under the true law: the false-reject count must be
+        # likely under Binomial(2000, alpha), the rate gate's exact tail
+        root, runs, alpha = RngStream(30), 2000, 0.01
+        rejects = sum(not ks_test(sample_overlaps(8, 30, root.substream(i)),
+                                  alpha=alpha).passed
+                      for i in range(runs))
+        assert quasiortho.packing._binomial_tail(rejects, runs, alpha) \
+            >= quasiortho.packing._ALPHA_3SIGMA, rejects
 
 
 class TestWilsonInterval:
