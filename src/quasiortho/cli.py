@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import effective_dim as ed
+from . import limits
 from . import overlap as ov
 from . import packing as pk
 from . import decoherence as dc
@@ -141,6 +142,7 @@ def cmd_overlap_dist(args) -> tuple:
     # more bins than samples leave bins empty, and an unbounded count
     # runs out of memory only after the whole draw
     trials = integer("--trials", args.trials, 1)
+    limits.check_sample_count("--trials", trials)
     integer("--bins", args.bins, 1, trials)
     ov.ks_critical_value(args.alpha)
     seed = _resolve_seed(args)
@@ -338,10 +340,11 @@ def cmd_decohere(args) -> tuple:
 def cmd_deff(args) -> tuple:
     try:
         # one read, so a pipe works and the hash is of the bytes parsed:
-        # the spectrum's content, not its path, determines the output
+        # the spectrum's content, not its path, determines the output;
+        # a leading byte-order mark is hashed but not parsed
         with open(args.spectrum, "rb") as fh:
             data = fh.read()
-        spectrum = ed.Spectrum.from_text(data.decode("utf-8"))
+        spectrum = ed.Spectrum.from_text(data.decode("utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise OSError(f"cannot read spectrum: {exc}") from exc
     d_eff = ed.microcanonical_dim(spectrum, args.energy, args.width)

@@ -59,8 +59,9 @@ class Spectrum:
 
     @classmethod
     def from_file(cls, path) -> "Spectrum":
-        """Read a UTF-8 spectrum file and parse it with ``from_text``."""
-        with open(path, "r", encoding="utf-8") as fh:
+        """Read a UTF-8 spectrum file, with or without a byte-order mark,
+        and parse it with ``from_text``."""
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.from_text(fh.read())
 
     @classmethod

@@ -592,6 +592,24 @@ class TestDeff:
         sha = hashlib.sha256(data).hexdigest()
         assert f"# param_spectrum_sha256={sha}\n".encode() in runs[0].stdout
 
+    @pytest.mark.parametrize("text", ["0\n1\n1\n2\n", "[0, 1, 1, 2]"],
+                             ids=["lines", "json"])
+    def test_byte_order_mark_is_skipped(self, text, capsys, tmp_path):
+        # the provenance still hashes the raw bytes, the mark included
+        spec = tmp_path / "levels.txt"
+        outs = []
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+            spec.write_bytes(data)
+            code, out = run_cli(["deff", "--spectrum", str(spec),
+                                 "--energy", "0", "--width", "2",
+                                 "--format", "json", "--no-timestamp"], capsys)
+            assert code == 0
+            obj = json.loads(out)
+            assert obj["provenance"]["param_spectrum_sha256"] == \
+                hashlib.sha256(data).hexdigest()
+            outs.append(obj["summary"])
+        assert outs[0] == outs[1] and outs[0]["d_eff"] == 3
+
     def test_missing_file_is_exit_3(self, capsys, tmp_path):
         code, _ = run_cli(["deff", "--spectrum", str(tmp_path / "nope.txt"),
                            "--energy", "0", "--width", "1"], capsys)
@@ -744,7 +762,9 @@ def test_integer_beyond_the_float_range_is_usage_error(argv, capsys):
       "--depth", "1000000000"], "depth"),
     (["packing", "build", "--d", "2", "--eps", "0.5", "--M", "2",
       "--trials", "100000001"], "trials"),
-], ids=["greedy-max-attempts", "circuit-depth", "rate-trials"])
+    (["overlap-dist", "--d", "16", "--trials", "1000000000"], "--trials"),
+], ids=["greedy-max-attempts", "circuit-depth", "rate-trials",
+        "overlap-trials"])
 def test_resource_error_names_what_passed_the_cap(argv, name, capsys):
     assert main(argv + ["--seed", "2", "--no-timestamp"]) == 3
     captured = capsys.readouterr()

@@ -53,6 +53,13 @@ class TestSpectrum:
         s = Spectrum.from_file(path)
         assert s.size == 4
 
+    @pytest.mark.parametrize("text", ["0.0\n1.5\n2.5\n", "[0.0, 1.5, 2.5]"],
+                             ids=["lines", "json"])
+    def test_from_file_skips_a_byte_order_mark(self, text, tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert Spectrum.from_file(path).energies.tolist() == [0.0, 1.5, 2.5]
+
     def test_from_file_json_ints_and_floats(self, tmp_path):
         path = tmp_path / "levels.json"
         path.write_text("[-2, 0, 1.5, 3, 9007199254740993]")
