@@ -395,6 +395,26 @@ class TestGateKernel:
             assert np.array_equal(out[b],
                                   moveaxis_reference(gates[b], targets, amps[b]))
 
+    def test_batched_gates_match_dense_oracle(self):
+        # every ordered 1- and 2-qubit target tuple on n <= 5, each of
+        # three states with its own gate, against I x ... x U x ... x I
+        rng = RngStream(24)
+        batch = 3
+        for n in range(1, 6):
+            amps = np.stack([haar_state(2 ** n, rng).amplitudes
+                             for _ in range(batch)])
+            for k in (1, 2):
+                if k > n:
+                    continue
+                gates = np.stack([haar_unitary(2 ** k, rng).entries
+                                  for _ in range(batch)])
+                for targets in itertools.permutations(range(n), k):
+                    out = _apply_gate(gates, targets, amps)
+                    for b in range(batch):
+                        dense = dense_local_matrix(gates[b], targets, n)
+                        assert np.max(np.abs(out[b] - dense @ amps[b])) \
+                            < 1e-12, (n, targets, b)
+
 
 class TestApplyLocal:
     def test_identity_any_target(self):
