@@ -267,8 +267,8 @@ class TestPackingBuild:
             self, failures, trials, ub, monkeypatch, capsys):
         # the union bound plus three standard errors of the observed rate
         # passed each count, though each is less likely than alpha under
-        # the bound
-        from scipy.stats import binom
+        # the bound; scipy is the oracle where it is installed
+        binom = pytest.importorskip("scipy.stats").binom
         p = failures / trials
         assert p <= ub + 3.0 * math.sqrt(p * (1.0 - p) / trials)
         packing = quasiortho.packing
