@@ -61,7 +61,7 @@ class TestOverlapDist:
         assert code == 2
 
     def test_thirty_trials_run_the_ks_test(self, capsys):
-        # the KS threshold holds at every n, so --trials needs only be >= 1
+        # the KS threshold holds at every n, so --trials need only be >= 1
         code, out = run_cli(["overlap-dist", "--d", "16", "--trials", "30",
                              "--bins", "10", "--seed", "1", "--format",
                              "json", "--no-timestamp"], capsys)
