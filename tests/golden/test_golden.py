@@ -49,6 +49,18 @@ CASES = {
     "packing_build_random_family": ["packing", "build", "--d", "32",
                                     "--eps", "0.4", "--M", "60", "--seed", "4",
                                     "--family-csv", FAMILY_CSV],
+    # Gram matrices of several blocks: a certified 6000-row build, the
+    # same rows failing at a lower eps (exit 1, first violating pair),
+    # and a greedy build whose final certification spans 4 blocks
+    "packing_build_random_blocks": ["packing", "build", "--d", "64",
+                                    "--eps", "0.3", "--M", "6000",
+                                    "--seed", "1"],
+    "packing_build_random_blocks_fail": ["packing", "build", "--d", "64",
+                                         "--eps", "0.2", "--M", "6000",
+                                         "--seed", "1"],
+    "packing_build_greedy_blocks": ["packing", "build", "--d", "128",
+                                    "--eps", "0.06", "--M", "2000",
+                                    "--method", "greedy", "--seed", "1"],
     "decohere_exact_haar": ["decohere", "--n", "10", "--k", "2", "--dynamics",
                             "exact-haar", "--trials", "200", "--seed", "11"],
     "decohere_integrable": ["decohere", "--n", "10", "--dynamics",
