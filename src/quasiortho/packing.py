@@ -21,8 +21,8 @@ from . import limits
 from ._workers import _in_workers
 from .overlap import TestReport
 from .rng import RngStream
-from .states import (_GRAM_BLOCK_ENTRIES, StateVector, _gram_blocks,
-                     _haar_rows, _unit_rows)
+from .states import (_BLOCK_ROW_ALIGN, StateVector, _block_rows,
+                     _gram_blocks, _haar_rows, _unit_rows)
 from .validate import integer, real
 
 __all__ = [
@@ -192,23 +192,44 @@ class PackingReport:
     family: QuasiOrthogonalFamily | None = None
 
 
+def _screen_delta(d: int) -> float:
+    """Bound on |complex64 screen modulus - float64 modulus| of one pair
+    of unit rows in dimension d (see :func:`_pairwise_stats`)."""
+    return 2 * (d + 8) * 2.0 ** -24
+
+
 def _pairwise_stats(mat: np.ndarray, eps: float):
     """Exact all-pairs max squared overlap and first violating pair.
 
-    Works on the moduli blocks of ``_gram_blocks`` in place: the diagonal
-    and the mirrored pairs below it in each block's leading square are
-    zeroed, and only the block max is squared. Rounding is monotone, so
-    fl(a * a) >= fl(b * b) for a >= b >= 0 and the squared max is the max
-    of the squares bit for bit. Only the first block whose max exceeds
-    eps is squared whole; its row-major order is the lexicographic pair
-    order, so its first entry above eps is the first violating pair.
+    Works on the moduli blocks of ``_gram_blocks`` in place, whose
+    diagonal and mirrored pairs are zero, and squares only the block
+    max. Rounding is monotone, so fl(a * a) >= fl(b * b) for a >= b >= 0
+    and the squared max is the max of the squares bit for bit. Only the
+    first block whose max exceeds eps is squared whole; its row-major
+    order is the lexicographic pair order, so its first entry above eps
+    is the first violating pair.
+
+    A Gram matrix of one block is read whole in float64. One of several
+    blocks is first screened in complex64 (:func:`_screened_strips`),
+    and only the 16-row strips the screen cannot clear are recomputed in
+    float64, in ascending order, each bit-identical to its rows of the
+    dense Gram matrix; so the result is the same bits either way.
+
+    The screen is exact because delta = 2 (d + 8) u, u = 2**-24, bounds
+    |screened modulus - float64 modulus| for rows of norm 1 +- 1e-9
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1 and 3.6). In units of u: rounding the rows to complex64
+    moves the exact inner product by at most 2 + u; the complex64 inner
+    product of length d adds sqrt(2) gamma_{d+2} / u, gamma_n =
+    n u / (1 - n u), at most 1.51 (d + 2) for d <= 2**20; the float32
+    modulus (``hypotf``, or numpy's scaled square root, whose error
+    measured 2.5 on 4e7 random values) adds at most 4; the float64
+    product and modulus add under 0.01. The sum, below 1.51 d + 9.1, is
+    inside 2 d + 16. Past d = 2**20 the gamma bound loses its room, and
+    the screen is not used.
     """
-    max_pairwise, first_bad, lower = 0.0, None, None
-    for i0, block in _gram_blocks(mat):
-        b = block.shape[0]
-        if lower is None:  # the first block is the tallest
-            lower = np.tri(b, dtype=bool)
-        np.copyto(block[:, :b], 0.0, where=lower[:b, :b])
+    max_pairwise, first_bad = 0.0, None
+    for i0, block in _gram_blocks(mat, _screened_strips(mat, eps)):
         top = float(block.max())
         max_pairwise = max(max_pairwise, top * top)
         if first_bad is None and max_pairwise > eps:
@@ -216,6 +237,37 @@ def _pairwise_stats(mat: np.ndarray, eps: float):
             r, c = divmod(int(np.argmax(block > eps)), block.shape[1])
             first_bad = (i0 + r, i0 + c)
     return max_pairwise, first_bad
+
+
+def _screened_strips(mat: np.ndarray, eps: float):
+    """Starts of the 16-row strips of ``mat``'s Gram matrix that may hold
+    its max modulus or a pair above eps, or None (every block of
+    ``_gram_blocks``) when the Gram matrix is one block.
+
+    The screen runs ``_gram_blocks``' grid on a complex64 copy of the rows
+    and keeps the float32 max of each strip. The true max modulus is at
+    least the screened max s - delta, so a strip holding it screens at
+    least s - 2 delta; a pair above eps has modulus at least about
+    sqrt(eps), so its strip screens at least sqrt(eps) - 2 delta (the
+    margin delta covers the rounding of sqrt and of the square). A strip
+    below min(s, sqrt(eps)) - 2 delta holds neither. A non-finite screen
+    clears nothing.
+    """
+    m, d = mat.shape
+    if m - 1 <= _block_rows(m, _BLOCK_ROW_ALIGN) or d > 1 << 20:
+        return None
+    rowmax = np.empty(m, dtype=np.float32)
+    rowmax[-1] = 0.0  # the last row has no partner
+    for i0, block in _gram_blocks(mat.astype(np.complex64)):
+        block.max(axis=1, out=rowmax[i0:i0 + block.shape[0]])
+    # in float64, so that the cut below is not rounded to float32
+    strips = np.maximum.reduceat(
+        rowmax, np.arange(0, m, _BLOCK_ROW_ALIGN)).astype(np.float64)
+    top = float(strips.max())
+    if not math.isfinite(top):
+        return np.arange(0, m, _BLOCK_ROW_ALIGN)
+    cut = min(top, math.sqrt(eps)) - 2 * _screen_delta(d)
+    return np.flatnonzero(strips >= cut) * _BLOCK_ROW_ALIGN
 
 
 def random_coding_construct(d: int, eps: float, m: int,
@@ -257,9 +309,18 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     batch, read from the batch's own Gram matrix. A batch is never
     larger than the rows still wanted or the attempts left, so the call
     draws exactly the candidates of the one-at-a-time loop and leaves
-    ``rng`` where that loop does. The accepted rows are taken in slices,
-    so the check holds at most ``_GRAM_BLOCK_ENTRIES`` overlaps at a
-    time whatever ``target_m``.
+    ``rng`` where that loop does. The accepted rows are taken in slices
+    of ``_block_rows(b)`` rows, so the check holds at most one Gram
+    block of overlaps at a time whatever ``target_m``.
+
+    The product against the accepted rows runs on a complex64 mirror of
+    them. Its max modulus w for a candidate is within delta of the
+    float64 one (see :func:`_pairwise_stats`), so w + delta below
+    sqrt(eps) (1 - 2**-40) accepts it and w - delta above sqrt(eps)
+    (1 + 2**-40) rejects it, exactly as the float64 check would: the
+    margin 2**-40 covers the rounding of sqrt and of the square. A batch
+    with any candidate in neither case runs the float64 check instead.
+    The final certification is :func:`_pairwise_stats`, screened too.
 
     Always returns a certified family; it may be shorter than
     ``target_m`` when the attempt budget runs out. ``max_attempts``
@@ -274,36 +335,55 @@ def greedy_construct(d: int, eps: float, target_m: int, max_attempts: int,
     limits.check_sample_count("max_attempts", max_attempts)
     limits.check_pairwise_ops("target_m", target_m, d)
     buffer = np.empty((target_m, d), dtype=np.complex128)
-    # a slice of the cross check has at most max(_GRAM_BLOCK_ENTRIES, b)
-    # moduli, and fewer than target_m * b
-    moduli = np.empty(min(max(_GRAM_BLOCK_ENTRIES, _GREEDY_BATCH),
-                          target_m * _GREEDY_BATCH))
+    mirror = np.empty((target_m, d), dtype=np.complex64)
+    # a slice of the cross check has at most max(_block_rows(1), b)
+    # moduli (one block's entries), and fewer than target_m * b
+    cap = min(max(_block_rows(1), _GREEDY_BATCH), target_m * _GREEDY_BATCH)
+    moduli, moduli32 = np.empty(cap), np.empty(cap, dtype=np.float32)
+    delta = _screen_delta(d)
+    clear_lo = math.sqrt(eps) * (1.0 - 2.0 ** -40)
+    clear_hi = math.sqrt(eps) * (1.0 + 2.0 ** -40)
     size = attempts = 0
     while size < target_m and attempts < max_attempts:
         b = min(_GREEDY_BATCH, target_m - size, max_attempts - attempts)
         attempts += b
         cand = _haar_rows(d, b, rng)
         cand_conj_t = cand.conj().T
-        worst = np.zeros(b)
-        step = max(1, _GRAM_BLOCK_ENTRIES // b)
-        for lo in range(0, size, step):
-            cross = buffer[:size][lo:lo + step] @ cand_conj_t
-            cross = np.abs(cross, out=moduli[:cross.size].reshape(cross.shape))
-            np.maximum(worst, cross.max(axis=0), out=worst)
-        # the max modulus squared is the max squared overlap bit for bit
-        # (see _pairwise_stats), so only the b maxima are squared
-        np.square(worst, out=worst)
+        worst = _worst_moduli(mirror[:size], cand_conj_t.astype(np.complex64),
+                              moduli32).astype(np.float64)
+        fits = worst + delta < clear_lo
+        if not (fits | (worst - delta > clear_hi)).all():
+            worst = _worst_moduli(buffer[:size], cand_conj_t, moduli)
+            # the max modulus squared is the max squared overlap bit for
+            # bit (see _pairwise_stats), so only the b maxima are squared
+            fits = np.square(worst, out=worst) <= eps
         clash = np.abs(cand @ cand_conj_t) ** 2 > eps
         kept = []
-        for j in np.flatnonzero(worst <= eps):
+        for j in np.flatnonzero(fits):
             if not clash[kept, j].any():
                 kept.append(j)
         buffer[size:size + len(kept)] = cand[kept]
+        mirror[size:size + len(kept)] = cand[kept]
         size += len(kept)
     accepted = buffer[:size]
     max_pairwise, _ = _pairwise_stats(accepted, eps)
     return QuasiOrthogonalFamily(dim=d, eps=eps, rows=accepted,
                                  max_pairwise=max_pairwise)
+
+
+def _worst_moduli(rows: np.ndarray, cand_conj_t: np.ndarray,
+                  moduli: np.ndarray) -> np.ndarray:
+    """Max over ``rows`` of |row @ cand_conj_t| for each candidate column,
+    0 with no rows, in the dtype of ``moduli``, the buffer that holds one
+    slice of ``_block_rows(b)`` rows at a time."""
+    b = cand_conj_t.shape[1]
+    worst = np.zeros(b, dtype=moduli.dtype)
+    step = _block_rows(b)
+    for lo in range(0, len(rows), step):
+        cross = rows[lo:lo + step] @ cand_conj_t
+        cross = np.abs(cross, out=moduli[:cross.size].reshape(cross.shape))
+        np.maximum(worst, cross.max(axis=0), out=worst)
+    return worst
 
 
 def verify(family: QuasiOrthogonalFamily) -> tuple[float, bool]:

@@ -38,6 +38,7 @@ UNITARY_ATOL = 1e-9
 CLAMP_ATOL = 1e-10
 # Complex Gram entries per block of _gram_blocks (16 MB), so
 # all-pairs work holds O(block * M) memory, never the M x M Gram matrix.
+# Read only through _block_rows.
 _GRAM_BLOCK_ENTRIES = 1 << 20
 # Blocks start on multiples of this many rows, so BLAS tiles every block
 # on the same grid as the full product and each entry is bit-identical
@@ -236,27 +237,51 @@ def overlap_sq(psi: StateVector, phi: StateVector) -> float:
     return v
 
 
-def _gram_blocks(rows: np.ndarray):
+def _block_rows(width: int, align: int = 1) -> int:
+    """Rows per block of a product with ``width`` columns: as many as
+    keep a block within ``_GRAM_BLOCK_ENTRIES`` entries, in multiples of
+    ``align``, and at least ``align``. Every blocked Gram product takes
+    its rows from here, so one patch of the entry count moves them all.
+    """
+    return max(1, _GRAM_BLOCK_ENTRIES // width // align) * align
+
+
+def _gram_blocks(rows: np.ndarray, starts=None):
     """Yield ``(i0, |rows[i0:i1] @ rows[i0:].conj().T|)`` for blocks of
-    rows [i0, i1) covering every row that has a partner.
+    ``_block_rows(M, _BLOCK_ROW_ALIGN)`` rows [i0, i1) covering every row
+    that has a partner, or, given ``starts``, for the strips of
+    ``_BLOCK_ROW_ALIGN`` rows that start at those ascending multiples of
+    it.
 
     Block (r, c) is the modulus of pair (i0 + r, i0 + c), bit-identical to
-    that entry of the dense Gram matrix. The rows are conjugated once per
+    that entry of the dense Gram matrix, for c > r; the diagonal and the
+    mirrored pairs below it in the block's leading square are zero. The
+    moduli have the real dtype of ``rows``: a complex64 matrix gives the
+    float32 moduli of ``cgemm`` products. The rows are conjugated once per
     call, and every block is written into one float buffer allocated per
     call, so a caller may overwrite a block but must copy what it keeps
     past the next one.
     """
     m = rows.shape[0]
-    step = max(1, _GRAM_BLOCK_ENTRIES // m // _BLOCK_ROW_ALIGN) * _BLOCK_ROW_ALIGN
-    conj = rows.conj()
-    moduli = np.empty(min(step, m) * m)
-    # the last row has no partner j > i
-    for i0 in range(0, m - 1, step):
+    if starts is None:
+        step = _block_rows(m, _BLOCK_ROW_ALIGN)
+        starts = range(0, m - 1, step)  # the last row has no partner j > i
+    else:
+        step = _BLOCK_ROW_ALIGN
+    if len(starts) == 0:
+        return
+    base = int(starts[0])
+    conj = rows[base:].conj()
+    moduli = np.empty(min(step, m - base) * (m - base), dtype=conj.real.dtype)
+    lower = np.tri(min(step, m - base), dtype=bool)
+    for i0 in starts:
         i1 = min(i0 + step, m)
-        gram = rows[i0:i1] @ conj[i0:].T
+        gram = rows[i0:i1] @ conj[i0 - base:].T
         block = np.abs(gram, out=moduli[:gram.size].reshape(gram.shape))
         del gram  # only one complex block is alive at a time
-        yield i0, block
+        b = i1 - i0
+        np.copyto(block[:, :b], 0.0, where=lower[:b, :b])
+        yield int(i0), block
 
 
 def haar_unitary(d: int, rng: RngStream) -> Unitary:

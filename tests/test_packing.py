@@ -322,9 +322,34 @@ class TestGreedyMatchesSequentialLoop:
 
     def test_sliced_cross_block(self, monkeypatch):
         # 200 entries: at most 3 accepted rows per slice of a full batch
-        monkeypatch.setattr(packing, "_GRAM_BLOCK_ENTRIES", 200)
+        monkeypatch.setattr(states, "_GRAM_BLOCK_ENTRIES", 200)
         fam = self.check(16, 0.4, 150, 3000, 27)
         assert fam.size == 150
+
+    def test_undecided_batch_falls_back_to_float64(self, monkeypatch):
+        # eps is the float64 worst squared overlap of one second-batch
+        # candidate against the first batch, which is kept whole; the
+        # complex64 screen cannot decide that candidate, so its batch
+        # runs the float64 check
+        d, seed = 64, 28
+        rng = RngStream(seed)
+        first = _haar_rows(d, _GREEDY_BATCH, rng)
+        second = _haar_rows(d, _GREEDY_BATCH, rng)
+        inside = np.abs(first @ first.conj().T) ** 2
+        worst = np.square(np.abs(first @ second.conj().T).max(axis=0))
+        eps = float(worst.max())
+        assert inside[np.triu_indices(_GREEDY_BATCH, k=1)].max() < eps
+        dtypes, real = [], packing._worst_moduli
+
+        def worst_moduli(rows, cand_conj_t, moduli):
+            dtypes.append(moduli.dtype)
+            return real(rows, cand_conj_t, moduli)
+
+        monkeypatch.setattr(packing, "_worst_moduli", worst_moduli)
+        fam = self.check(d, eps, 3 * _GREEDY_BATCH, 10_000, seed)
+        assert fam.size == 3 * _GREEDY_BATCH
+        # batch 1 screens (no rows yet) and is decided; batch 2 falls back
+        assert dtypes[:3] == [np.float32, np.float32, np.float64]
 
 
 class TestVerify:
@@ -477,6 +502,87 @@ class TestPairwiseKernel:
         assert _pairwise_stats(mat, top) == (top, None)
         below = np.nextafter(top, 0.0)
         assert _pairwise_stats(mat, below) == dense_pairwise_stats(mat, below)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 64, 128, 1024, 16384])
+    def test_screen_is_within_delta_of_float64(self, d):
+        # Haar pairs, and pairs of modulus near 1 from duplicated rows
+        m = max(16, min(400, (1 << 21) // d))
+        mat = _haar_rows(d, m, RngStream(d))
+        mat[1::4] = mat[::4][:len(mat[1::4])]
+        mat[2::4] *= 1j
+        exact = [b.copy() for _, b in _gram_blocks(mat)]
+        screened = [b.astype(np.float64)
+                    for _, b in _gram_blocks(mat.astype(np.complex64))]
+        gap = max(float(np.abs(s - e).max())
+                  for s, e in zip(screened, exact))
+        assert gap <= packing._screen_delta(d)
+
+    @pytest.mark.parametrize("d, m", [(7, 3001), (64, 6000), (100, 111),
+                                      (128, 2000), (1024, 2000)])
+    def test_strips_are_the_rows_of_the_blocks(self, d, m):
+        mat = _haar_rows(d, m, RngStream(m))
+        for i0, block in _gram_blocks(mat):
+            starts = range(i0, i0 + block.shape[0], 16)
+            for r0, strip in _gram_blocks(mat, starts):
+                assert (strip.tobytes()
+                        == block[r0 - i0:r0 - i0 + 16, r0 - i0:].tobytes())
+
+    @staticmethod
+    def _planted(d):
+        """600 Haar rows with a pair of squared overlap near 0.8 at
+        (400, 433), far above the rest, and 48-row blocks at 2**15
+        entries."""
+        mat = _haar_rows(d, 600, RngStream(30 + d))
+        mixed = mat[400] + 0.5 * mat[433]
+        mat[433] = mixed / np.linalg.norm(mixed)
+        return mat
+
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_planted_pair_at_eps_plus_minus_one_ulp(self, d, small_blocks):
+        mat = self._planted(d)
+        assert len(list(_gram_blocks(mat))) == 13
+        top, pair = dense_pairwise_stats(mat, 0.5)
+        assert pair == (400, 433) and top > 0.5
+        for eps in (np.nextafter(top, 0.0), top, np.nextafter(top, 1.0)):
+            got = _pairwise_stats(mat, float(eps))
+            assert got == dense_pairwise_stats(mat, eps)
+            assert (got[1] is None) == (eps >= top)
+
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_tied_maxima_in_later_strips(self, d, small_blocks):
+        # two disjoint pairs (400, 433) and (500, 533) of one squared
+        # overlap c**2, exact in any summation order
+        mat = _haar_rows(d, 600, RngStream(40 + d))
+        c, s = math.cos(0.4), math.sin(0.4)
+        for i, j, k in ((400, 433, 0), (500, 533, 2)):
+            mat[i] = mat[j] = 0.0
+            mat[i, k] = 1.0
+            mat[j, k], mat[j, k + 1] = c, s
+        top, _ = dense_pairwise_stats(mat, 1.0)
+        assert top == c * c
+        for eps in (np.nextafter(top, 0.0), top, 0.5):
+            got = _pairwise_stats(mat, float(eps))
+            assert got == dense_pairwise_stats(mat, eps)
+        assert _pairwise_stats(mat, np.nextafter(top, 0.0))[1] == (400, 433)
+
+    def test_eps_zero_recomputes_every_strip(self, small_blocks):
+        mat = _haar_rows(4, 600, RngStream(21))
+        strips = packing._screened_strips(mat, 0.0)
+        assert list(strips) == list(range(0, 600, 16))
+        assert _pairwise_stats(mat, 0.0) == dense_pairwise_stats(mat, 0.0)
+        # a typical eps leaves few strips to recompute
+        assert len(packing._screened_strips(mat, 0.999)) < 5
+
+    def test_non_finite_screen_recomputes_every_strip(self, small_blocks):
+        mat = _haar_rows(4, 600, RngStream(22))
+        mat[300, 0] = np.nan
+        strips = packing._screened_strips(mat, 0.5)
+        assert list(strips) == list(range(0, 600, 16))
+
+    def test_one_block_is_not_screened(self):
+        mat = _haar_rows(100, 111, RngStream(23))
+        assert len(list(_gram_blocks(mat))) == 1
+        assert packing._screened_strips(mat, 0.1) is None
 
     def test_memory_is_blocked(self):
         mat = _haar_rows(4, 4000, RngStream(17))
