@@ -210,10 +210,18 @@ def _pairwise_stats(mat: np.ndarray, eps: float):
     is the first violating pair.
 
     A Gram matrix of one block is read whole in float64. One of several
-    blocks is first screened in complex64 (:func:`_screened_strips`),
-    and only the 16-row strips the screen cannot clear are recomputed in
-    float64, in ascending order, each bit-identical to its rows of the
-    dense Gram matrix; so the result is the same bits either way.
+    blocks is first screened in complex64 (:func:`_strip_screen`), and
+    16-row strips are recomputed in float64, each bit-identical to its
+    rows of the dense Gram matrix, so the result is the same bits either
+    way. Let s be the largest screened strip max. The true max modulus
+    is at least s - delta, so a strip holding it screens at least
+    s - 2 delta: those strips give the max. Only when it exceeds eps is
+    the first violating pair looked for: a pair above eps has modulus at
+    least about sqrt(eps), so its strip screens at least
+    sqrt(eps) - 2 delta (the margin delta covers the rounding of sqrt
+    and of the square). Those strips are recomputed in ascending order
+    until one holds a pair above eps. The first usually does, so both
+    steps recompute a few strips whatever eps.
 
     The screen is exact because delta = 2 (d + 8) u, u = 2**-24, bounds
     |screened modulus - float64 modulus| for rows of norm 1 +- 1e-9
@@ -228,30 +236,44 @@ def _pairwise_stats(mat: np.ndarray, eps: float):
     inside 2 d + 16. Past d = 2**20 the gamma bound loses its room, and
     the screen is not used.
     """
-    max_pairwise, first_bad = 0.0, None
-    for i0, block in _gram_blocks(mat, _screened_strips(mat, eps)):
-        top = float(block.max())
-        max_pairwise = max(max_pairwise, top * top)
-        if first_bad is None and max_pairwise > eps:
-            np.square(block, out=block)
-            r, c = divmod(int(np.argmax(block > eps)), block.shape[1])
-            first_bad = (i0 + r, i0 + c)
-    return max_pairwise, first_bad
+    screen = _strip_screen(mat)
+    if screen is None:
+        max_pairwise, first_bad = 0.0, None
+        for i0, block in _gram_blocks(mat):
+            top = float(block.max())
+            max_pairwise = max(max_pairwise, top * top)
+            if first_bad is None and max_pairwise > eps:
+                first_bad = _first_above(i0, block, eps)
+        return max_pairwise, first_bad
+    margin = 2 * _screen_delta(mat.shape[1])
+    top = max(float(block.max()) for _, block
+              in _gram_blocks(mat, _strips_from(screen, screen.max() - margin)))
+    if top * top <= eps:
+        return top * top, None
+    for i0, block in _gram_blocks(
+            mat, _strips_from(screen, math.sqrt(eps) - margin)):
+        strip_top = float(block.max())
+        if strip_top * strip_top > eps:
+            return top * top, _first_above(i0, block, eps)
+    raise AssertionError("no strip holds the pair above eps")
 
 
-def _screened_strips(mat: np.ndarray, eps: float):
-    """Starts of the 16-row strips of ``mat``'s Gram matrix that may hold
-    its max modulus or a pair above eps, or None (every block of
-    ``_gram_blocks``) when the Gram matrix is one block.
+def _first_above(i0: int, block: np.ndarray, eps: float) -> tuple[int, int]:
+    """First pair of a ``_gram_blocks`` block above eps, in row-major
+    order; squares the block in place."""
+    np.square(block, out=block)
+    r, c = divmod(int(np.argmax(block > eps)), block.shape[1])
+    return i0 + r, i0 + c
 
-    The screen runs ``_gram_blocks``' grid on a complex64 copy of the rows
-    and keeps the float32 max of each strip. The true max modulus is at
-    least the screened max s - delta, so a strip holding it screens at
-    least s - 2 delta; a pair above eps has modulus at least about
-    sqrt(eps), so its strip screens at least sqrt(eps) - 2 delta (the
-    margin delta covers the rounding of sqrt and of the square). A strip
-    below min(s, sqrt(eps)) - 2 delta holds neither. A non-finite screen
-    clears nothing.
+
+def _strip_screen(mat: np.ndarray):
+    """Screened max modulus of each 16-row strip of ``mat``'s Gram
+    matrix, in float64, or None when the Gram matrix is one block, the
+    screen is not exact (d > 2**20) or a screened value is not finite.
+
+    The screen runs ``_gram_blocks``' grid on a complex64 copy of the
+    rows and keeps the float32 max of each strip, within delta of the
+    float64 max (see :func:`_pairwise_stats`).
     """
     m, d = mat.shape
     if m - 1 <= _block_rows(m, _BLOCK_ROW_ALIGN) or d > 1 << 20:
@@ -260,14 +282,15 @@ def _screened_strips(mat: np.ndarray, eps: float):
     rowmax[-1] = 0.0  # the last row has no partner
     for i0, block in _gram_blocks(mat.astype(np.complex64)):
         block.max(axis=1, out=rowmax[i0:i0 + block.shape[0]])
-    # in float64, so that the cut below is not rounded to float32
-    strips = np.maximum.reduceat(
+    # in float64, so that the cuts on it are not rounded to float32
+    screen = np.maximum.reduceat(
         rowmax, np.arange(0, m, _BLOCK_ROW_ALIGN)).astype(np.float64)
-    top = float(strips.max())
-    if not math.isfinite(top):
-        return np.arange(0, m, _BLOCK_ROW_ALIGN)
-    cut = min(top, math.sqrt(eps)) - 2 * _screen_delta(d)
-    return np.flatnonzero(strips >= cut) * _BLOCK_ROW_ALIGN
+    return screen if np.isfinite(screen).all() else None
+
+
+def _strips_from(screen: np.ndarray, cut: float) -> np.ndarray:
+    """Ascending starts of the strips whose screened max is at least cut."""
+    return np.flatnonzero(screen >= cut) * _BLOCK_ROW_ALIGN
 
 
 def random_coding_construct(d: int, eps: float, m: int,

@@ -565,24 +565,65 @@ class TestPairwiseKernel:
             assert got == dense_pairwise_stats(mat, eps)
         assert _pairwise_stats(mat, np.nextafter(top, 0.0))[1] == (400, 433)
 
-    def test_eps_zero_recomputes_every_strip(self, small_blocks):
-        mat = _haar_rows(4, 600, RngStream(21))
-        strips = packing._screened_strips(mat, 0.0)
-        assert list(strips) == list(range(0, 600, 16))
-        assert _pairwise_stats(mat, 0.0) == dense_pairwise_stats(mat, 0.0)
-        # a typical eps leaves few strips to recompute
-        assert len(packing._screened_strips(mat, 0.999)) < 5
+    @staticmethod
+    def _recomputed(monkeypatch):
+        """Record the starts of every strip that packing recomputes in
+        float64 (or None for a whole-matrix pass)."""
+        seen = []
 
-    def test_non_finite_screen_recomputes_every_strip(self, small_blocks):
+        def spy(rows, starts=None):
+            for i0, block in _gram_blocks(rows, starts):
+                if rows.dtype == np.complex128:
+                    seen.append(i0 if starts is not None else None)
+                yield i0, block
+
+        monkeypatch.setattr(packing, "_gram_blocks", spy)
+        return seen
+
+    def test_eps_zero_stops_at_the_first_violating_strip(self, small_blocks,
+                                                         monkeypatch):
+        mat = _haar_rows(4, 600, RngStream(21))
+        screen = packing._strip_screen(mat)
+        # every strip screens above sqrt(0) - 2 delta, yet only the strips
+        # that may hold the max and then strip 0 are recomputed
+        margin = 2 * packing._screen_delta(4)
+        top_strips = packing._strips_from(screen, screen.max() - margin)
+        assert len(packing._strips_from(screen, -margin)) == 38
+        seen = self._recomputed(monkeypatch)
+        assert _pairwise_stats(mat, 0.0) == dense_pairwise_stats(mat, 0.0)
+        assert seen == [*top_strips, 0] and len(top_strips) < 5
+
+    def test_a_certified_family_recomputes_only_the_max_strips(
+            self, small_blocks, monkeypatch):
+        mat = _haar_rows(64, 600, RngStream(24))
+        top, _ = dense_pairwise_stats(mat, 1.0)
+        seen = self._recomputed(monkeypatch)
+        for eps in (top, 0.999):
+            seen.clear()
+            assert _pairwise_stats(mat, eps) == (top, None)
+            assert len(seen) == 1
+
+    def test_first_violation_in_a_late_strip_skips_the_clear_ones(
+            self, small_blocks, monkeypatch):
+        mat = self._planted(64)
+        seen = self._recomputed(monkeypatch)
+        assert _pairwise_stats(mat, 0.5) == dense_pairwise_stats(mat, 0.5)
+        # the max strip, then the walk from sqrt(0.5): the same strip
+        assert seen == [400, 400]
+
+    def test_non_finite_screen_falls_back_to_the_float64_pass(
+            self, small_blocks, monkeypatch):
         mat = _haar_rows(4, 600, RngStream(22))
         mat[300, 0] = np.nan
-        strips = packing._screened_strips(mat, 0.5)
-        assert list(strips) == list(range(0, 600, 16))
+        assert packing._strip_screen(mat) is None
+        seen = self._recomputed(monkeypatch)
+        _pairwise_stats(mat, 0.5)
+        assert seen == [None] * 13
 
     def test_one_block_is_not_screened(self):
         mat = _haar_rows(100, 111, RngStream(23))
         assert len(list(_gram_blocks(mat))) == 1
-        assert packing._screened_strips(mat, 0.1) is None
+        assert packing._strip_screen(mat) is None
 
     def test_memory_is_blocked(self):
         mat = _haar_rows(4, 4000, RngStream(17))
